@@ -9,6 +9,7 @@ ratios are evaluated in log space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -595,6 +596,11 @@ def _max_on_face(neg_log_f, lo, hi, axis, edge, grid: int = 9):
     return best
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    return np.polynomial.legendre.leggauss(order)
+
+
 def _panel_gl(
     lo: float,
     hi: float,
@@ -611,7 +617,7 @@ def _panel_gl(
     mode while wide tails cost only logarithmically many panels. Cut points
     (integrand kinks) remain panel boundaries in either parametrization.
     """
-    pts, wts = np.polynomial.legendre.leggauss(order)
+    pts, wts = _gauss_legendre(order)
     inner = sorted(c for c in cuts if lo < c < hi)
     if center is None:
         edges = np.array([lo] + inner + [hi])
@@ -661,18 +667,8 @@ def _toy_integral_k0(data: ARData, region: _MassRegion, level: int) -> float:
     d_vec = np.abs(y[:, None] - np.outer(xcol, bn)).sum(axis=0)
     q_vec = bn * bn / (2.0 * sig2)
     const = -n * math.log(4.0) - 0.5 * (_LOG_2PI + math.log(sig2))
-    shift = None
-    total = 0.0
-    for s, ws in zip(sn, sw):
-        logs = const - 0.5 * (n + 1) * s - 0.5 * math.exp(-0.5 * s) * d_vec - math.exp(-s) * q_vec
-        mx = float(logs.max())
-        if shift is None:
-            shift = mx
-        elif mx > shift:
-            total *= math.exp(shift - mx)
-            shift = mx
-        total += ws * float(bw @ np.exp(logs - shift))
-    return shift + math.log(total)
+    shift, sums = _scale_mixture_sums(sn, sw, 0.5 * (n + 1), d_vec, q_vec, bw[:, None])
+    return const + shift + math.log(sums[0])
 
 
 def _toy_integral_k1(data: ARData, region: _MassRegion, level: int):
@@ -715,30 +711,55 @@ def _toy_integral_k1(data: ARData, region: _MassRegion, level: int):
     q_grid = (a_nodes**2 + b_flat**2) / (2.0 * sig2)
     const = -n * math.log(4.0) - (_LOG_2PI + math.log(sig2))
     col_w = a_weights * bw_flat
-    col_w_a = col_w * a_nodes
-    col_w_a2 = col_w * a_nodes * a_nodes
-    shift = None
-    mass = 0.0
-    m1 = 0.0
-    m2 = 0.0
-    for s, ws in zip(sn, sw):
-        logs = const - 0.5 * (n + 2) * s - 0.5 * math.exp(-0.5 * s) * d_grid - math.exp(-s) * q_grid
-        mx = float(logs.max())
-        if shift is None:
-            shift = mx
-        elif mx > shift:
-            fac = math.exp(shift - mx)
-            mass *= fac
-            m1 *= fac
-            m2 *= fac
-            shift = mx
-        g = np.exp(logs - shift)
-        mass += ws * float((col_w * g).sum())
-        m1 += ws * float((col_w_a * g).sum())
-        m2 += ws * float((col_w_a2 * g).sum())
+    weights = np.stack([col_w, col_w * a_nodes, col_w * a_nodes * a_nodes], axis=1)
+    shift, (mass, m1, m2) = _scale_mixture_sums(sn, sw, 0.5 * (n + 2), d_grid, q_grid, weights)
     a_mean = m1 / mass
     a_var = m2 / mass - a_mean * a_mean
-    return shift + math.log(mass), a_mean, math.sqrt(max(a_var, 0.0))
+    return const + shift + math.log(mass), a_mean, math.sqrt(max(a_var, 0.0))
+
+
+def _scale_mixture_sums(s_nodes, s_weights, power, d, q, weights):
+    """Weighted sums of the toy integrand over log-scale nodes and a coefficient grid.
+
+    Returns ``(shift, sums)`` with ``sums[c]`` equal to exp(-shift) times the
+    sum over nodes s and grid points j of
+    s_weights[s] * weights[j, c] * exp(-power s - e^{-s/2} d[j] / 2 - e^{-s} q[j]).
+    The (node, point) plane is swept in tiles of 8 nodes x 8192 points
+    that stay in cache. Each node keeps the running minimum of
+    e^{-s/2} d / 2 + e^{-s} q, which marks its largest term so far, and
+    rescales its partial sums when that minimum drops, so no term overflows.
+    Terms below e^-700 of their node's largest term are raised to e^-700:
+    that changes no sum beyond rounding and keeps exp off subnormal numbers.
+    """
+    rows, cols = 8, 8192
+    n_nodes, n_pts = s_nodes.shape[0], d.shape[0]
+    half_rate = 0.5 * np.exp(-0.5 * s_nodes)
+    rate = np.exp(-s_nodes)
+    sums = np.zeros((n_nodes, weights.shape[1]))
+    row_log = np.empty(n_nodes)
+    e_buf = np.empty((rows, cols))
+    t_buf = np.empty((rows, cols))
+    for r0 in range(0, n_nodes, rows):
+        r1 = min(n_nodes, r0 + rows)
+        hr, rt = half_rate[r0:r1, None], rate[r0:r1, None]
+        acc = sums[r0:r1]
+        low = np.full(r1 - r0, np.inf)
+        for c0 in range(0, n_pts, cols):
+            c1 = min(n_pts, c0 + cols)
+            e, t = e_buf[: r1 - r0, : c1 - c0], t_buf[: r1 - r0, : c1 - c0]
+            np.multiply(hr, d[None, c0:c1], out=e)
+            np.multiply(rt, q[None, c0:c1], out=t)
+            e += t
+            new_low = np.minimum(low, e.min(axis=1))
+            acc *= np.exp(new_low - low)[:, None]
+            low = new_low
+            np.subtract(low[:, None], e, out=e)
+            np.maximum(e, -700.0, out=e)
+            np.exp(e, out=e)
+            acc += e @ weights[c0:c1]
+        row_log[r0:r1] = np.log(s_weights[r0:r1]) - power * s_nodes[r0:r1] - low
+    shift = float(row_log.max())
+    return shift, np.exp(row_log - shift) @ sums
 
 
 def toy_test_values(state: ARState) -> np.ndarray:

@@ -9,6 +9,7 @@ fully resolved configuration so runs can be traced back to their settings.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -182,21 +183,35 @@ _COV_KEYS = dict(dataset="ar_dataset.txt", replications=500, n=10_000,
 _COV_TYPES = dict(dataset=str, replications=int, n=int, burn_in=int, seed=int,
                   alpha=float, v=float, epsilon_grid=str, workers=int, out=str)
 
-_COV_CONTEXT = {}
+# Stream ids of `coverage`: replication r runs its chain on stream 2r and
+# draws the noise for epsilon index e on stream 1_000_000 + 64r + e. The ids
+# stay distinct while r < 500_000 and e < 64.
+_NOISE_STREAM_BASE = 1_000_000
+_MAX_EPSILONS = 64
+_MAX_REPLICATIONS = _NOISE_STREAM_BASE // 2
 
 
-def _coverage_one(rep: int):
+def _check_stream_layout(reps: int, n_eps: int) -> None:
+    if reps > _MAX_REPLICATIONS:
+        raise TransjumpError(
+            f"coverage supports at most {_MAX_REPLICATIONS} replications, got "
+            f"{reps}: chain stream ids 2*rep would reach the noise stream ids "
+            f"from {_NOISE_STREAM_BASE}"
+        )
+    if n_eps > _MAX_EPSILONS:
+        raise TransjumpError(
+            f"coverage supports at most {_MAX_EPSILONS} epsilon grid entries, "
+            f"got {n_eps}: noise stream ids would repeat across replications"
+        )
+
+
+def _coverage_one(rep: int, *, data, n, burn_in, seed, alpha, v, eps_grid, truth):
     """One replication: run the chain, then intervals for every epsilon."""
-    s = _COV_CONTEXT
-    data, n, burn_in, seed, alpha, v, eps_grid, truth = (
-        s["data"], s["n"], s["burn_in"], s["seed"], s["alpha"], s["v"],
-        s["eps_grid"], s["truth"],
-    )
     trace = ar_laplace.run_ar_chain(data, n, RngStream(seed, 2 * rep), burn_in=burn_in)
     spec = uq.ar_h_spec()
     out = []
     for e_idx, eps in enumerate(eps_grid):
-        noise_rng = RngStream(seed, 1_000_000 + rep * 64 + e_idx)
+        noise_rng = RngStream(seed, _NOISE_STREAM_BASE + rep * _MAX_EPSILONS + e_idx)
         report = uq.simultaneous_cis(trace, spec, alpha=alpha, epsilon=eps,
                                      rng=noise_rng, v=v)
         covered = bool(
@@ -210,6 +225,9 @@ def _coverage_one(rep: int):
 def cmd_coverage(args) -> int:
     settings = _resolve(args, _COV_KEYS)
     chash = _config_hash(settings)
+    eps_grid = [float(v) for v in str(settings["epsilon_grid"]).split(",") if v]
+    reps = int(settings["replications"])
+    _check_stream_layout(reps, len(eps_grid))
     data = ar_laplace.load_ar_dataset(settings["dataset"])
     try:
         oracle = ar_laplace.toy_quadrature_oracle(data)
@@ -218,14 +236,14 @@ def cmd_coverage(args) -> int:
               f"truth: {exc}", file=sys.stderr)
         return 2
     truth = oracle.as_h_vector()
-    eps_grid = [float(v) for v in str(settings["epsilon_grid"]).split(",") if v]
-    reps = int(settings["replications"])
     n = int(settings["n"])
     burn_in = int(settings["burn_in"])
     if burn_in < 0:
         burn_in = n // 10
-    _COV_CONTEXT.update(
-        data=data, n=n, burn_in=burn_in, seed=int(settings["seed"]),
+    # the settings travel with each task, so workers started by spawn or
+    # forkserver receive them as well as forked ones
+    one = functools.partial(
+        _coverage_one, data=data, n=n, burn_in=burn_in, seed=int(settings["seed"]),
         alpha=float(settings["alpha"]), v=float(settings["v"]),
         eps_grid=eps_grid, truth=truth,
     )
@@ -233,11 +251,11 @@ def cmd_coverage(args) -> int:
     results = [None] * reps
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rep, row in pool.map(_coverage_one, range(reps)):
+            for rep, row in pool.map(one, range(reps)):
                 results[rep] = row
     else:
         for rep in range(reps):
-            results[rep] = _coverage_one(rep)[1]
+            results[rep] = one(rep)[1]
     m = truth.shape[0]
     lines = [
         f"# config {chash}",

@@ -5,7 +5,12 @@ probability is mapped to an integral over the unit cube, variables are
 reordered for numerical stability (smallest conditional interval first), and
 the cube integral is averaged over a randomized low-discrepancy point set.
 Randomization over independent shifts provides a standard-error estimate,
-which the rectangle-quantile bisection uses as its stopping safeguard.
+which the rectangle-quantile solver uses when it checks its bracket.
+
+The rectangle quantile (the common interval multiplier xi) is found by a
+bracketed Illinois regula falsi on the probit scale, ndtri(p(xi)), where the
+probability is close to linear in xi. Every trial xi reuses the same
+randomized point set, so the estimated p(xi) is monotone in xi.
 """
 
 from __future__ import annotations
@@ -29,14 +34,23 @@ __all__ = [
 _JITTER_REL = 1e-10  # max diagonal jitter, relative to trace
 _MIN_SHIFTS = 8
 
-# square roots of primes drive the Richtmyer (Kronecker) low-discrepancy sequence
-_PRIMES = np.array(
-    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-     73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
-     157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229, 233,
-     239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311, 313, 317],
-    dtype=float,
-)
+_P_FLOOR = 2.0**-52  # keeps ndtri(p) finite when an estimate hits 0 or 1
+
+
+def _primes(count: int) -> np.ndarray:
+    """The first ``count`` primes, whose square roots drive the Richtmyer
+    (Kronecker) low-discrepancy sequence."""
+    limit = 16
+    while True:
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = False
+        found = np.flatnonzero(sieve)
+        if found.shape[0] >= count:
+            return found[:count].astype(float)
+        limit *= 2
 
 
 @dataclass
@@ -67,8 +81,6 @@ class RectProbRequest:
             raise ParameterError("requires lower[i] <= upper[i]")
         if self.n_shifts < _MIN_SHIFTS:
             raise ParameterError(f"n_shifts must be >= {_MIN_SHIFTS}")
-        if m > _PRIMES.shape[0]:
-            raise ParameterError(f"dimension {m} exceeds supported maximum")
 
     @property
     def dim(self) -> int:
@@ -179,7 +191,7 @@ def mvn_rectangle_prob(req: RectProbRequest) -> RectProbResult:
     if m == 1:
         p = float(ndtr(b[0] / L[0, 0]) - ndtr(a[0] / L[0, 0]))
         return RectProbResult(probability=p, mc_error=0.0)
-    roots = np.sqrt(_PRIMES[: m - 1])
+    roots = np.sqrt(_primes(m - 1))
     idx = np.arange(1, req.n_points + 1)[:, None]
     base = idx * roots[None, :]  # frac() applied after shifting
     estimates = np.empty(req.n_shifts)
@@ -205,9 +217,21 @@ def solve_rectangle_quantile(
 ) -> float:
     """Solve for xi with N_m(prod_i [-xi sqrt(v_i), xi sqrt(v_i)]; 0, cov) = 1 - alpha.
 
-    Bisection on the bracket [z*_{1-alpha/2}, z*_{1-alpha/(2m)}], which always
-    contains the solution. The same QMC point set is reused at every xi, so
-    the evaluated probability is monotone along the bisection trace.
+    The bracket [z*_{1-alpha/2}, z*_{1-alpha/(2m)}] always contains the
+    solution: its ends solve the equation under perfect correlation and
+    under the Bonferroni bound. Both endpoints are evaluated first. If they
+    do not straddle 1 - alpha beyond the QMC error, ``SolverError`` is
+    raised; an endpoint that already reaches the target is returned as is.
+
+    Inside the bracket, an Illinois regula falsi finds the root of
+    g(xi) = ndtri(p(xi)) - ndtri(1 - alpha). On the probit scale g is nearly
+    linear in xi, so one interpolation step usually lands within ``tol``.
+    Each step keeps the root bracketed, halves the stale endpoint's g when
+    the same side is kept twice, and falls back to the midpoint when the
+    interpolant leaves the bracket. It stops once |p - (1 - alpha)| <= tol,
+    the bracket is narrower than 1e-12, or after ``max_iter`` steps. The same
+    QMC point set is reused at every xi, so the evaluated probability is
+    monotone in xi.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie in (0, 1)")
@@ -253,13 +277,31 @@ def solve_rectangle_quantile(
         return lo
     if res_hi.probability <= target:
         return hi
+
+    z_target = float(ndtri(target))
+
+    def g(p):
+        return float(ndtri(min(max(p, _P_FLOOR), 1.0 - _P_FLOOR))) - z_target
+
+    g_lo, g_hi = g(res_lo.probability), g(res_hi.probability)
+    kept = 0  # +1 after lo was kept, -1 after hi was kept
+    xi = 0.5 * (lo + hi)
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        p = prob_at(mid).probability
+        xi = hi - g_hi * (hi - lo) / (g_hi - g_lo) if g_hi > g_lo else np.nan
+        if not lo < xi < hi:
+            xi = 0.5 * (lo + hi)
+        p = prob_at(xi).probability
         if abs(p - target) <= tol or hi - lo < 1e-12:
-            return mid
-        if p < target:
-            lo = mid
+            return xi
+        g_xi = g(p)
+        if g_xi < 0.0:
+            lo, g_lo = xi, g_xi
+            if kept < 0:
+                g_hi *= 0.5
+            kept = -1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, g_hi = xi, g_xi
+            if kept > 0:
+                g_lo *= 0.5
+            kept = 1
+    return xi

@@ -4,8 +4,11 @@ Each test prints one `[criterion N] ...: PASS` line (run pytest with -s to
 see them live) and enforces both the tolerance and the runtime budget.
 """
 
+import functools
 import math
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -203,24 +206,39 @@ def test_criterion_6_ar_toy_stationarity(toy_ar_data, toy_oracle):
               gap <= 0.01, f"max |estimate - truth| = {gap:.4f}", elapsed, 300.0)
 
 
+def _coverage_replication(rep, data, truth, eps_grid):
+    """Criterion 7, replication ``rep``: coverage flags and widths per epsilon."""
+    trace = run_ar_chain(data, 10**4, RngStream(1005, 2 * rep), burn_in=1000)
+    spec = ar_h_spec()
+    covered = np.zeros(len(eps_grid), dtype=bool)
+    widths = np.zeros((len(eps_grid), 4))
+    for e_idx, eps in enumerate(eps_grid):
+        rng = RngStream(1005, 1_000_000 + rep * 64 + e_idx)
+        report = simultaneous_cis(trace, spec, alpha=0.05, epsilon=eps, rng=rng)
+        covered[e_idx] = bool(
+            np.all((report.intervals[:, 0] <= truth) & (truth <= report.intervals[:, 1]))
+        )
+        widths[e_idx] = report.intervals[:, 1] - report.intervals[:, 0]
+    return covered, widths
+
+
 def test_criterion_7_coverage_pattern(toy_ar_data, toy_oracle):
     start = time.perf_counter()
     truth = toy_oracle.as_h_vector()
     eps_grid = [10.0, 1.0, 0.1, 0.001]
     reps = 500
-    n = 10**4
-    spec = ar_h_spec()
-    covered = np.zeros((len(eps_grid), reps), dtype=bool)
-    widths = np.zeros((len(eps_grid), reps, 4))
-    for rep in range(reps):
-        trace = run_ar_chain(toy_ar_data, n, RngStream(1005, 2 * rep), burn_in=1000)
-        for e_idx, eps in enumerate(eps_grid):
-            rng = RngStream(1005, 1_000_000 + rep * 64 + e_idx)
-            report = simultaneous_cis(trace, spec, alpha=0.05, epsilon=eps, rng=rng)
-            covered[e_idx, rep] = bool(
-                np.all((report.intervals[:, 0] <= truth) & (truth <= report.intervals[:, 1]))
-            )
-            widths[e_idx, rep] = report.intervals[:, 1] - report.intervals[:, 0]
+    one = functools.partial(
+        _coverage_replication, data=toy_ar_data, truth=truth, eps_grid=eps_grid
+    )
+    # replications are independent streams, so spreading them over the
+    # available cores changes no number
+    if len(os.sched_getaffinity(0)) > 1:
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            rows = list(pool.map(one, range(reps), chunksize=10))
+    else:
+        rows = [one(rep) for rep in range(reps)]
+    covered = np.stack([c for c, _ in rows], axis=1)
+    widths = np.stack([w for _, w in rows], axis=1)
     coverage = covered.mean(axis=1)
     mean_w = widths.mean(axis=1)
     cov_ok = bool(np.all((coverage >= 0.87) & (coverage <= 0.98)))

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from transjump.cli import main
+import transjump
+from transjump.cli import _check_stream_layout, main
 from transjump.rng import RngStream
 from transjump.spectral import random_decomposed_chain, write_chain_file
 from transjump.uq import load_report, load_trace
@@ -114,6 +119,60 @@ class TestCoverage:
                    "--out", str(tmp_path / "c.txt")])
         assert rc != 0
         assert "quadrature truth" in capsys.readouterr().err
+
+
+_SPAWN_MAIN = """\
+import multiprocessing
+import sys
+
+from transjump.cli import main
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestCoverageWorkers:
+    def test_spawn_workers_match_serial_bytes(self, toy_dataset, tmp_path):
+        args = ["coverage", "--dataset", str(toy_dataset), "--replications", "4",
+                "--n", "300", "--seed", "3", "--epsilon-grid", "10,0.1"]
+        serial = tmp_path / "serial.txt"
+        assert main(args + ["--workers", "1", "--out", str(serial)]) == 0
+        script = tmp_path / "spawn_main.py"
+        script.write_text(_SPAWN_MAIN)
+        pooled = tmp_path / "pooled.txt"
+        src_dir = os.path.dirname(os.path.dirname(transjump.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(script)] + args + ["--workers", "2", "--out", str(pooled)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the config hash on the first line covers --workers; the rest must match
+        first, second = serial.read_bytes().split(b"\n", 1), pooled.read_bytes().split(b"\n", 1)
+        assert first[0].startswith(b"# config ") and second[0].startswith(b"# config ")
+        assert first[1] == second[1]
+
+
+class TestStreamLayout:
+    def test_limits_accepted(self):
+        _check_stream_layout(500_000, 64)
+
+    def test_cli_rejects_long_grid(self, toy_dataset, tmp_path, capsys):
+        grid = ",".join(str(1.0 + i) for i in range(65))
+        rc = main(["coverage", "--dataset", str(toy_dataset), "--replications", "2",
+                   "--epsilon-grid", grid, "--out", str(tmp_path / "c.txt")])
+        assert rc == 1
+        assert "at most 64 epsilon grid entries" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+
+    def test_cli_rejects_too_many_replications(self, toy_dataset, tmp_path, capsys):
+        rc = main(["coverage", "--dataset", str(toy_dataset), "--replications", "500001",
+                   "--out", str(tmp_path / "c.txt")])
+        assert rc == 1
+        assert "at most 500000 replications" in capsys.readouterr().err
 
 
 class TestFiniteVerify:

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from transjump import mvnprob
 from transjump.errors import NumericError, ParameterError, SolverError
-from transjump.mvnprob import RectProbRequest, mvn_rectangle_prob, solve_rectangle_quantile
+from transjump.mvnprob import (
+    RectProbRequest,
+    RectProbResult,
+    mvn_rectangle_prob,
+    solve_rectangle_quantile,
+)
 
 from _oracles import mvn_rectangle_grid
 
@@ -78,6 +84,27 @@ def test_monotone_in_xi():
     assert np.all(np.diff(probs) >= 0)
 
 
+@pytest.mark.parametrize("m", [67, 100])
+def test_dimension_beyond_66_identity_closed_form(m):
+    # independent coordinates: the Genz integrand is constant, so the QMC
+    # estimate equals (2 Phi(c) - 1)^m up to rounding
+    c = 3.0
+    res = mvn_rectangle_prob(
+        RectProbRequest(lower=-c * np.ones(m), upper=c * np.ones(m),
+                        mean=np.zeros(m), covariance=np.eye(m), n_points=256)
+    )
+    assert abs(res.probability - (2.0 * ndtr(c) - 1.0) ** m) < 1e-9
+
+
+def test_richtmyer_primes():
+    primes = mvnprob._primes(100).astype(int)
+    assert primes[65] == 317  # the 66th prime: dimensions up to 67 keep their roots
+    assert np.all(np.diff(primes) > 0)
+    for q in primes:
+        assert all(q % d for d in range(2, int(q**0.5) + 1))
+    assert primes[0] == 2 and primes[-1] == 541
+
+
 def test_dimension_mismatch():
     with pytest.raises(ParameterError):
         RectProbRequest(lower=[0.0, 0.0], upper=[1.0], mean=[0.0, 0.0], covariance=np.eye(2))
@@ -125,3 +152,67 @@ class TestQuantileSolver:
     def test_alpha_domain(self):
         with pytest.raises(ParameterError):
             solve_rectangle_quantile(1.5, np.ones(2), np.eye(2))
+
+
+def _criterion5_cases():
+    """The random covariances and levels of acceptance criterion 5."""
+    gen = np.random.default_rng(1003)
+    cases = []
+    for trial in range(10):
+        m = int(gen.integers(2, 7))
+        a = gen.standard_normal((m, m))
+        cov = a @ a.T + 0.3 * np.eye(m)
+        alpha = float(gen.uniform(0.01, 0.2))
+        cases.append((trial, alpha, cov))
+    return cases
+
+
+@pytest.fixture()
+def count_evaluations(monkeypatch):
+    """Counts the rectangle probabilities the solver requests."""
+    calls = []
+
+    def counted(req):
+        calls.append(req)
+        return mvn_rectangle_prob(req)
+
+    monkeypatch.setattr(mvnprob, "mvn_rectangle_prob", counted)
+    return calls
+
+
+class TestSecantSolver:
+    def test_stops_within_tol_or_at_an_endpoint(self):
+        tol, n_points = 1e-3, 4096
+        for trial, alpha, cov in _criterion5_cases():
+            v = np.diag(cov).copy()
+            xi = solve_rectangle_quantile(alpha, v, cov, tol=tol, n_points=n_points, seed=trial)
+            lo = ndtri(1.0 - alpha / 2.0)
+            hi = ndtri(1.0 - alpha / (2.0 * v.shape[0]))
+            p = mvn_rectangle_prob(
+                RectProbRequest(lower=-xi * np.sqrt(v), upper=xi * np.sqrt(v),
+                                mean=np.zeros(v.shape[0]), covariance=cov,
+                                n_points=n_points, seed=trial)
+            ).probability
+            assert abs(p - (1.0 - alpha)) <= tol or xi in (lo, hi), (trial, xi, p)
+
+    def test_identity_m4_needs_at_most_four_evaluations(self, count_evaluations):
+        solve_rectangle_quantile(0.05, np.ones(4), np.eye(4))
+        assert len(count_evaluations) <= 4
+
+    def test_random_covariances_need_at_most_five_evaluations(self, count_evaluations):
+        for trial, alpha, cov in _criterion5_cases():
+            count_evaluations.clear()
+            solve_rectangle_quantile(alpha, np.diag(cov).copy(), cov, seed=trial)
+            assert len(count_evaluations) <= 5, (trial, len(count_evaluations))
+
+    def test_every_evaluation_shares_the_seed_and_points(self, count_evaluations):
+        solve_rectangle_quantile(0.1, np.ones(3), np.eye(3), n_points=1024, seed=7)
+        assert {(req.seed, req.n_points) for req in count_evaluations} == {(7, 1024)}
+
+    def test_flat_probability_fails_the_straddle_check(self, monkeypatch):
+        monkeypatch.setattr(
+            mvnprob, "mvn_rectangle_prob",
+            lambda req: RectProbResult(probability=0.5, mc_error=0.0),
+        )
+        with pytest.raises(SolverError, match="do not straddle"):
+            solve_rectangle_quantile(0.05, np.ones(3), np.eye(3))
