@@ -44,6 +44,8 @@ class ProbitData:
     sigma: float
     p_slab: float
     _x_full: np.ndarray = field(init=False, repr=False)
+    _positive: np.ndarray = field(init=False, repr=False)
+    _sign: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y)
@@ -59,6 +61,9 @@ class ProbitData:
         if not 0.0 < self.p_slab < 1.0:
             raise ParameterError("spike-and-slab weight must lie in (0, 1)")
         self.y = self.y.astype(np.int8)
+        self._positive = self.y == 1
+        # +1 / -1 by response: the likelihood is sum_i log Phi(sign_i * mu_i)
+        self._sign = np.where(self._positive, 1.0, -1.0)
         # design with intercept column; model designs are column subsets
         self._x_full = np.column_stack([np.ones(self.x.shape[0]), self.x])
         self._gram = self._x_full.T @ self._x_full
@@ -107,7 +112,7 @@ def log_unnorm_posterior(data: ProbitData, state: ProbitState) -> float:
     size = state.size
     cols = _columns(state.k)
     mu = data._x_full[:, cols] @ state.z
-    loglik = float(np.where(data.y == 1, log_ndtr(mu), log_ndtr(-mu)).sum())
+    loglik = float(log_ndtr(data._sign * mu).sum())
     log_prior = (
         size * math.log(data.p_slab)
         - (size + 1) * (0.5 * _LOG_2PI + math.log(data.sigma))
@@ -133,7 +138,7 @@ def da_update(data: ProbitData, state: ProbitState, rng: RngStream) -> ProbitSta
     z_full = np.zeros(data.r + 1)
     z_full[cols] = state.z
     mu = data._x_full @ z_full
-    u = sample_truncated_normal_onesided(mu, 1.0, data.y == 1, rng)
+    u = sample_truncated_normal_onesided(mu, 1.0, data._positive, rng)
     d = cols.shape[0]
     M = data._gram[np.ix_(cols, cols)].copy()
     M[np.arange(d), np.arange(d)] += 1.0 / data.sigma**2
@@ -163,32 +168,31 @@ def mode_and_curvature(
     z_full = np.zeros(data.r + 1)
     z_full[np.delete(cols, pos)] = z_partial
     base = data._x_full @ z_full
-    xj = data._x_full[:, j + 1]
-    sign = np.where(data.y == 1, 1.0, -1.0)
-    xs = xj * sign
+    # sign-flipped predictors: t = sign * (base + xj * b), exactly
+    sbase = data._sign * base
+    xs = data._sign * data._x_full[:, j + 1]
+    xs2 = xs * xs
     prior_prec = 1.0 / data.sigma**2
 
     def derivs(b):
-        t = sign * (base + xj * b)
+        t = sbase + xs * b
         log_phi = -0.5 * (_LOG_2PI + t * t)
         inv_mills = np.exp(log_phi - log_ndtr(t))
         grad = float(xs @ inv_mills) - b * prior_prec
-        curv = -float((xs * xs) @ (inv_mills * (inv_mills + t))) - prior_prec
+        curv = -float(xs2 @ (inv_mills * (inv_mills + t))) - prior_prec
         return grad, curv
 
     b = 0.0
     for _ in range(50):
         grad, curv = derivs(b)
         if abs(grad) < 1e-10:
-            break
-        step = -grad / curv
-        b = b + step
+            # converged: the curvature at b is already in hand
+            return float(b), float(-1.0 / curv)
+        b = b + (-grad / curv)
         if not np.isfinite(b):
-            b = _bisect_gradient(derivs)
             break
-    else:
-        b = _bisect_gradient(derivs)
-    grad, curv = derivs(b)
+    b = _bisect_gradient(derivs)
+    curv = derivs(b)[1]
     return float(b), float(-1.0 / curv)
 
 

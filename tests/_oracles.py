@@ -195,3 +195,84 @@ def probit_model_posterior(data, nodes: int = 24) -> dict:
     w = np.exp(log_ev - log_ev.max())
     w /= w.sum()
     return {m: w[i] for i, m in enumerate(models)}
+
+
+def probit_log_posterior_reference(data, k, z) -> float:
+    """The spike-and-slab probit log posterior with log_ndtr on both branches.
+
+    A verbatim copy of the original ``probit.log_unnorm_posterior``: it
+    evaluates log Phi(mu) and log Phi(-mu) everywhere and picks by response.
+    """
+    k = np.asarray(k)
+    size = int(k.sum())
+    cols = np.concatenate([[0], np.flatnonzero(k) + 1])
+    mu = data._x_full[:, cols] @ z
+    loglik = float(np.where(data.y == 1, log_ndtr(mu), log_ndtr(-mu)).sum())
+    log_prior = (
+        size * math.log(data.p_slab)
+        - (size + 1) * (0.5 * math.log(2.0 * math.pi) + math.log(data.sigma))
+        - float(z @ z) / (2.0 * data.sigma**2)
+    )
+    return loglik + log_prior
+
+
+def probit_mode_reference(data, k_new, z_partial, j: int) -> tuple[float, float]:
+    """Laplace (mode, variance) for coefficient j, as originally computed.
+
+    A verbatim copy of the original ``probit.mode_and_curvature``: the
+    linear predictor runs over the zero-padded full design, the sign flip is
+    applied inside every derivative evaluation, and the converged point is
+    evaluated once more for its curvature.
+    """
+    k_new = np.asarray(k_new)
+    cols = np.concatenate([[0], np.flatnonzero(k_new) + 1])
+    pos = int(np.searchsorted(np.flatnonzero(k_new), j)) + 1
+    z_full = np.zeros(data.r + 1)
+    z_full[np.delete(cols, pos)] = z_partial
+    base = data._x_full @ z_full
+    xj = data._x_full[:, j + 1]
+    sign = np.where(data.y == 1, 1.0, -1.0)
+    xs = xj * sign
+    prior_prec = 1.0 / data.sigma**2
+    log_2pi = math.log(2.0 * math.pi)
+
+    def derivs(b):
+        t = sign * (base + xj * b)
+        log_phi = -0.5 * (log_2pi + t * t)
+        inv_mills = np.exp(log_phi - log_ndtr(t))
+        grad = float(xs @ inv_mills) - b * prior_prec
+        curv = -float((xs * xs) @ (inv_mills * (inv_mills + t))) - prior_prec
+        return grad, curv
+
+    def bisect():
+        lo, hi = -1.0, 1.0
+        for _ in range(200):
+            if derivs(lo)[0] > 0 and derivs(hi)[0] < 0:
+                break
+            lo *= 2.0
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            g = derivs(mid)[0]
+            if abs(g) < 1e-10:
+                return mid
+            if g > 0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    b = 0.0
+    for _ in range(50):
+        grad, curv = derivs(b)
+        if abs(grad) < 1e-10:
+            break
+        step = -grad / curv
+        b = b + step
+        if not np.isfinite(b):
+            b = bisect()
+            break
+    else:
+        b = bisect()
+    grad, curv = derivs(b)
+    return float(b), float(-1.0 / curv)

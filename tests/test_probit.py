@@ -5,6 +5,7 @@ import pytest
 
 import mpmath
 
+from transjump import probit
 from transjump.errors import ParameterError, TraceParseError
 from transjump.probit import (
     ProbitData,
@@ -20,7 +21,54 @@ from transjump.probit import (
 )
 from transjump.rng import RngStream
 
-from _oracles import probit_model_posterior
+import _oracles
+from _oracles import probit_log_posterior_reference, probit_model_posterior, probit_mode_reference
+
+
+@pytest.fixture(scope="module")
+def spam_like():
+    # the 4601x57 synthetic of acceptance criterion 11, standardized in memory
+    gen = np.random.default_rng(20240)
+    n, r = 4601, 57
+    x = np.round(np.abs(gen.standard_normal((n, r))) * gen.uniform(0.05, 20.0, r), 4)
+    coef = np.zeros(r)
+    hot = gen.choice(r, size=6, replace=False)
+    coef[hot] = gen.normal(0.0, 0.8, 6)
+    xs = (x - x.mean(axis=0)) / x.std(axis=0)
+    prob = 0.5 * (1.0 + np.vectorize(math.erf)((xs @ coef - 0.3) / math.sqrt(2)))
+    y = (gen.random(n) < prob).astype(int)
+    return ProbitData(y=y, x=xs, sigma=1.0, p_slab=0.5)
+
+
+def _random_jumps(data, seed, count, max_size=6):
+    """(k_new, z_partial, j) triples: a model of at most max_size predictors plus j."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        size = int(gen.integers(1, min(max_size, data.r) + 1))
+        k_new = np.zeros(data.r, dtype=np.int8)
+        k_new[gen.choice(data.r, size=size, replace=False)] = 1
+        j = int(gen.choice(np.flatnonzero(k_new)))
+        z_partial = gen.standard_normal(size) * gen.choice([0.3, 1.0, 3.0])
+        out.append((k_new, z_partial, j))
+    return out
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _close(a, b):
+    # the sign flip and the reused Newton evaluation are exact
+    return a == b
 
 
 class TestLogPosterior:
@@ -169,6 +217,70 @@ class TestModeAndCurvature:
     def test_rejects_excluded_index(self, probit_small):
         with pytest.raises(ParameterError):
             mode_and_curvature(probit_small, np.zeros(3, dtype=np.int8), np.zeros(1), 1)
+
+
+class TestAgainstOriginalKernels:
+    """The kernels against verbatim copies of their original implementations."""
+
+    @pytest.mark.parametrize("name", ["probit_small", "spam_like"])
+    def test_posterior_matches_two_branch_form(self, name, request):
+        data = request.getfixturevalue(name)
+        for k_new, z_partial, j in _random_jumps(data, 41, 40):
+            z = np.append(z_partial, 0.5)
+            got = log_unnorm_posterior(data, ProbitState(k=k_new, z=z))
+            assert _close(got, probit_log_posterior_reference(data, k_new, z))
+
+    @pytest.mark.parametrize("name", ["probit_small", "spam_like"])
+    def test_mode_matches_original_search(self, name, request):
+        data = request.getfixturevalue(name)
+        for k_new, z_partial, j in _random_jumps(data, 42, 40):
+            mode, var = mode_and_curvature(data, k_new, z_partial, j)
+            ref_mode, ref_var = probit_mode_reference(data, k_new, z_partial, j)
+            assert _close(mode, ref_mode) and _close(var, ref_var)
+
+    def test_one_log_ndtr_pass_per_posterior(self, spam_like, monkeypatch):
+        calls = _count_calls(monkeypatch, probit, "log_ndtr")
+        k = np.zeros(spam_like.r, dtype=np.int8)
+        k[[3, 17]] = 1
+        log_unnorm_posterior(spam_like, ProbitState(k=k, z=np.array([0.1, 0.4, -0.2])))
+        assert calls[0] == 1
+
+    def test_newton_reuses_its_last_evaluation(self, spam_like, monkeypatch):
+        # k Newton steps take k + 1 derivative evaluations; the original k + 2
+        calls = _count_calls(monkeypatch, probit, "log_ndtr")
+        ref_calls = _count_calls(monkeypatch, _oracles, "log_ndtr")
+        for k_new, z_partial, j in _random_jumps(spam_like, 43, 10):
+            calls[0] = ref_calls[0] = 0
+            mode_and_curvature(spam_like, k_new, z_partial, j)
+            probit_mode_reference(spam_like, k_new, z_partial, j)
+            assert ref_calls[0] >= 3
+            assert calls[0] == ref_calls[0] - 1
+
+    @pytest.mark.parametrize("name", ["probit_small", "spam_like"])
+    def test_bisection_fallback(self, name, request, monkeypatch):
+        # a NaN from the first derivative evaluation makes the Newton iterate
+        # non-finite, which hands the search to the bracketing bisection
+        data = request.getfixturevalue(name)
+        k_new, z_partial, j = _random_jumps(data, 44, 1)[0]
+        newton_mode, newton_var = mode_and_curvature(data, k_new, z_partial, j)
+        for module in (probit, _oracles):
+            original = module.log_ndtr
+            first = [True]
+
+            def poisoned(t, original=original, first=first):
+                if first[0]:
+                    first[0] = False
+                    return np.full_like(t, np.nan)
+                return original(t)
+
+            monkeypatch.setattr(module, "log_ndtr", poisoned)
+        mode, var = mode_and_curvature(data, k_new, z_partial, j)
+        ref_mode, ref_var = probit_mode_reference(data, k_new, z_partial, j)
+        assert np.isfinite(mode) and var > 0
+        assert _close(mode, ref_mode) and _close(var, ref_var)
+        # bisection stops at |gradient| < 1e-10, close to the Newton root
+        assert abs(mode - newton_mode) < 1e-10 * newton_var * 10
+        assert abs(var - newton_var) < 1e-6 * newton_var
 
 
 class TestMoveProbs:
