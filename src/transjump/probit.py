@@ -64,8 +64,9 @@ class ProbitData:
         self._positive = self.y == 1
         # +1 / -1 by response: the likelihood is sum_i log Phi(sign_i * mu_i)
         self._sign = np.where(self._positive, 1.0, -1.0)
-        # design with intercept column; model designs are column subsets
-        self._x_full = np.column_stack([np.ones(self.x.shape[0]), self.x])
+        # design with intercept column; model designs are column subsets,
+        # stored column-major so that taking them copies contiguous columns
+        self._x_full = np.asfortranarray(np.column_stack([np.ones(self.x.shape[0]), self.x]))
         self._gram = self._x_full.T @ self._x_full
 
     @property
@@ -135,15 +136,14 @@ def da_update(data: ProbitData, state: ProbitState, rng: RngStream) -> ProbitSta
     I/sigma^2.
     """
     cols = _columns(state.k)
-    z_full = np.zeros(data.r + 1)
-    z_full[cols] = state.z
-    mu = data._x_full @ z_full
+    x_k = data._x_full[:, cols]
+    mu = x_k @ state.z
     u = sample_truncated_normal_onesided(mu, 1.0, data._positive, rng)
     d = cols.shape[0]
     M = data._gram[np.ix_(cols, cols)].copy()
     M[np.arange(d), np.arange(d)] += 1.0 / data.sigma**2
     L = np.linalg.cholesky(M)
-    b = (data._x_full.T @ u)[cols]
+    b = x_k.T @ u
     mean = np.linalg.solve(L.T, np.linalg.solve(L, b))
     z_new = mean + np.linalg.solve(L.T, rng.gen.standard_normal(d))
     return ProbitState(k=state.k, z=z_new)
@@ -165,9 +165,7 @@ def mode_and_curvature(
         raise ParameterError("index j must be included in k_new")
     cols = _columns(k_new)
     pos = int(np.searchsorted(np.flatnonzero(k_new), j)) + 1
-    z_full = np.zeros(data.r + 1)
-    z_full[np.delete(cols, pos)] = z_partial
-    base = data._x_full @ z_full
+    base = data._x_full[:, np.delete(cols, pos)] @ z_partial
     # sign-flipped predictors: t = sign * (base + xj * b), exactly
     sbase = data._sign * base
     xs = data._sign * data._x_full[:, j + 1]
