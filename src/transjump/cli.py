@@ -3,7 +3,8 @@
 Subcommands: ``simulate-ar``, ``run``, ``coverage``, ``finite-verify``,
 ``plotdata``. Every setting lives in a key-value config file and can be
 overridden by a ``--key value`` flag; output files carry the hash of the
-fully resolved configuration so runs can be traced back to their settings.
+resolved settings that determine their content (output paths and the worker
+count are left out) so runs can be traced back to their settings.
 """
 
 from __future__ import annotations
@@ -23,8 +24,13 @@ from .rng import RngStream
 __all__ = ["main"]
 
 
+# where results are written and how many processes compute them; neither
+# changes a result, so neither enters the config hash
+_UNHASHED = frozenset({"out", "trace_out", "report_out", "workers"})
+
+
 def _config_hash(settings: dict) -> str:
-    blob = "\n".join(f"{k}={settings[k]}" for k in sorted(settings))
+    blob = "\n".join(f"{k}={settings[k]}" for k in sorted(settings) if k not in _UNHASHED)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 

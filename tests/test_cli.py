@@ -150,10 +150,9 @@ class TestCoverageWorkers:
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        # the config hash on the first line covers --workers; the rest must match
-        first, second = serial.read_bytes().split(b"\n", 1), pooled.read_bytes().split(b"\n", 1)
-        assert first[0].startswith(b"# config ") and second[0].startswith(b"# config ")
-        assert first[1] == second[1]
+        # the worker count is not part of the config hash: every byte matches
+        assert serial.read_bytes().startswith(b"# config ")
+        assert serial.read_bytes() == pooled.read_bytes()
 
 
 class TestStreamLayout:
@@ -248,3 +247,18 @@ class TestConfigFile:
         assert rc == 0
         assert (tmp_path / "t.txt").read_text().startswith("# config ")
         assert (tmp_path / "r.txt").read_text().startswith("# config ")
+
+    def test_hash_ignores_output_directory(self, toy_dataset, tmp_path):
+        def run(out_dir, seed="5"):
+            out_dir.mkdir()
+            assert main([
+                "run", "--sampler", "ar-toy", "--dataset", str(toy_dataset),
+                "--n", "1200", "--seed", seed,
+                "--trace-out", str(out_dir / "t.txt"), "--report-out", str(out_dir / "r.txt"),
+            ]) == 0
+            return [(out_dir / name).read_bytes() for name in ("t.txt", "r.txt")]
+
+        first = run(tmp_path / "a")
+        assert run(tmp_path / "b") == first
+        other_seed = run(tmp_path / "c", seed="6")
+        assert other_seed[0].split(b"\n", 1)[0] != first[0].split(b"\n", 1)[0]
