@@ -8,6 +8,7 @@ Modules:
 - ``spectral``: finite-chain verification of the decomposition convergence bounds
 - ``uq``: ergodic averages, batch-means covariance, noise-injected
   simultaneous confidence intervals
+- ``rj``: the reversible jump step and chain loop both samplers share
 - ``ar_laplace``: reversible jump sampler for Laplace-error autoregression
   order selection
 - ``probit``: reversible jump sampler for probit variable selection

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
+from . import rj
 from .errors import GenerationError, NumericError, ParameterError, TraceParseError
 from .rng import RngStream, _ig_draws
 from .uq import Trace
@@ -32,6 +33,8 @@ __all__ = [
     "gibbs_update",
     "move_probs_green",
     "birth_proposal_params",
+    "propose_birth",
+    "propose_death",
     "rj_step",
     "simulate_ar_dataset",
     "toy_quadrature_oracle",
@@ -44,7 +47,6 @@ __all__ = [
     "load_ar_dataset",
 ]
 
-_LOG_2PI = math.log(2.0 * math.pi)
 _RESID_CLAMP = 1e-300  # measure-zero exact-zero residuals, keeps mu_i finite
 
 
@@ -83,6 +85,8 @@ class ARData:
             raise ParameterError("f_k must be positive on 0..k_max")
         if abs(self.f_k.sum() - 1.0) > 1e-9:
             raise ParameterError("f_k must sum to 1")
+        if not all(np.isfinite(v).all() for v in (self.y, self.x, self.y_start)):
+            raise ParameterError("y, x and y_start must be finite")
         lagged = np.concatenate([self.y_start, self.y])
         lags = (
             np.column_stack(
@@ -213,16 +217,10 @@ def log_unnorm_posterior(data: ARData, state: ARState) -> float:
     log_prior = math.log(data.f_k[k]) - math.log(tau)
     ss = float(theta @ theta)
     dims = p + k
-    log_prior += -0.5 * dims * (_LOG_2PI + 2.0 * math.log(data.sigma) + math.log(tau)) - ss / (
+    log_prior += -0.5 * dims * (rj.LOG_2PI + 2.0 * math.log(data.sigma) + math.log(tau)) - ss / (
         2.0 * data.sigma**2 * tau
     )
     return log_fu + log_lik + log_prior
-
-
-def _cached_logpost(data: ARData, state: ARState) -> float:
-    if state.logpost is None:
-        state.logpost = log_unnorm_posterior(data, state)
-    return state.logpost
 
 
 def gibbs_update(data: ARData, state: ARState, rng: RngStream) -> ARState:
@@ -317,53 +315,34 @@ def birth_proposal_params(data: ARData, state: ARState) -> tuple[float, float]:
     return mean, var
 
 
-def _log_normal_pdf(x: float, mean: float, var: float) -> float:
-    return -0.5 * (_LOG_2PI + math.log(var)) - 0.5 * (x - mean) ** 2 / var
+def propose_birth(data: ARData, state: ARState, rng: RngStream, probs: ARMoveProbs):
+    """Append a_{k+1} drawn from its full conditional; returns (proposal, log_q)."""
+    k = state.k
+    mean, var = birth_proposal_params(data, state)
+    a_new = mean + math.sqrt(var) * rng.gen.standard_normal()
+    proposal = ARState(
+        k=k + 1, alpha=np.append(state.alpha, a_new), beta=state.beta, tau=state.tau, u=state.u
+    )
+    log_q = math.log(probs.q_d[k + 1]) - math.log(probs.q_b[k])
+    return proposal, log_q - rj.log_normal_pdf(a_new, mean, var)
+
+
+def propose_death(data: ARData, state: ARState, rng: RngStream, probs: ARMoveProbs):
+    """Delete a_k, the reverse of :func:`propose_birth`; returns (proposal, log_q)."""
+    k = state.k
+    proposal = ARState(k=k - 1, alpha=state.alpha[:-1], beta=state.beta, tau=state.tau, u=state.u)
+    mean, var = birth_proposal_params(data, proposal)
+    log_q = math.log(probs.q_b[k - 1]) - math.log(probs.q_d[k])
+    return proposal, log_q + rj.log_normal_pdf(float(state.alpha[-1]), mean, var)
 
 
 def rj_step(data: ARData, state: ARState, probs: ARMoveProbs, rng: RngStream) -> ARState:
     """One reversible jump transition: update (Gibbs), birth, or death."""
     k = state.k
-    move = rng.gen.random()
-    if move < probs.q_u[k]:
-        return gibbs_update(data, state, rng)
-    if move < probs.q_u[k] + probs.q_b[k]:
-        mean, var = birth_proposal_params(data, state)
-        a_new = mean + math.sqrt(var) * rng.gen.standard_normal()
-        proposal = ARState(
-            k=k + 1,
-            alpha=np.append(state.alpha, a_new),
-            beta=state.beta,
-            tau=state.tau,
-            u=state.u,
-        )
-        log_ratio = (
-            _cached_logpost(data, proposal)
-            + math.log(probs.q_d[k + 1])
-            - _cached_logpost(data, state)
-            - math.log(probs.q_b[k])
-            - _log_normal_pdf(a_new, mean, var)
-        )
-    else:
-        proposal = ARState(
-            k=k - 1,
-            alpha=state.alpha[:-1],
-            beta=state.beta,
-            tau=state.tau,
-            u=state.u,
-        )
-        a_old = float(state.alpha[-1])
-        mean, var = birth_proposal_params(data, proposal)
-        log_ratio = (
-            _cached_logpost(data, proposal)
-            + math.log(probs.q_b[k - 1])
-            + _log_normal_pdf(a_old, mean, var)
-            - _cached_logpost(data, state)
-            - math.log(probs.q_d[k])
-        )
-    if math.log(rng.gen.random()) < log_ratio:
-        return proposal
-    return state
+    return rj.step(
+        data, state, rng, probs.q_u[k], probs.q_b[k], gibbs_update,
+        propose_birth, propose_death, log_unnorm_posterior, probs,
+    )
 
 
 @dataclass
@@ -469,7 +448,7 @@ def toy_quadrature_oracle(data: ARData, rel_tol: float = 1e-6, max_level: int = 
         return -(
             -0.5 * n * s
             - 0.5 * math.exp(-0.5 * s) * d
-            - 0.5 * (_LOG_2PI + math.log(sig2) + s)
+            - 0.5 * (rj.LOG_2PI + math.log(sig2) + s)
             - beta * beta * math.exp(-s) / (2.0 * sig2)
         )
 
@@ -479,7 +458,7 @@ def toy_quadrature_oracle(data: ARData, rel_tol: float = 1e-6, max_level: int = 
         return -(
             -0.5 * n * s
             - 0.5 * math.exp(-0.5 * s) * d
-            - (_LOG_2PI + math.log(sig2) + s)
+            - (rj.LOG_2PI + math.log(sig2) + s)
             - (a * a + b * b) * math.exp(-s) / (2.0 * sig2)
         )
 
@@ -666,7 +645,7 @@ def _toy_integral_k0(data: ARData, region: _MassRegion, level: int) -> float:
     sn, sw = _simpson_nodes(s_lo, s_hi, 2 ** (level + 7) + 1)
     d_vec = np.abs(y[:, None] - np.outer(xcol, bn)).sum(axis=0)
     q_vec = bn * bn / (2.0 * sig2)
-    const = -n * math.log(4.0) - 0.5 * (_LOG_2PI + math.log(sig2))
+    const = -n * math.log(4.0) - 0.5 * (rj.LOG_2PI + math.log(sig2))
     shift, sums = _scale_mixture_sums(sn, sw, 0.5 * (n + 1), d_vec, q_vec, bw[:, None])
     return const + shift + math.log(sums[0])
 
@@ -709,7 +688,7 @@ def _toy_integral_k1(data: ARData, region: _MassRegion, level: int):
     for i in range(n):
         d_grid += np.abs(y[i] - wcol[i] * a_nodes - xcol[i] * b_flat)
     q_grid = (a_nodes**2 + b_flat**2) / (2.0 * sig2)
-    const = -n * math.log(4.0) - (_LOG_2PI + math.log(sig2))
+    const = -n * math.log(4.0) - (rj.LOG_2PI + math.log(sig2))
     col_w = a_weights * bw_flat
     weights = np.stack([col_w, col_w * a_nodes, col_w * a_nodes * a_nodes], axis=1)
     shift, (mass, m1, m2) = _scale_mixture_sums(sn, sw, 0.5 * (n + 2), d_grid, q_grid, weights)
@@ -783,49 +762,26 @@ def initial_state(data: ARData) -> ARState:
 
 
 def run_ar_chain(
-    data: ARData,
-    n: int,
-    rng: RngStream,
-    burn_in: int = 0,
-    probs: ARMoveProbs | None = None,
-    functions: str = "toy",
-    log_states: bool = False,
+    data: ARData, n: int, rng: RngStream, burn_in: int = 0, functions: str = "toy"
 ) -> Trace:
     """Run the reversible jump chain and record test-function evaluations.
 
     ``functions`` selects what is logged per step: 'toy' records the three
     toy-study functions, 'model' records the (k_max+1) model indicators.
     """
-    if probs is None:
-        probs = move_probs_green(data.f_k)
-    state = initial_state(data).validate()
-    for _ in range(burn_in):
-        state = rj_step(data, state, probs, rng)
     if functions == "toy":
-        d = 3
+        record, d = toy_test_values, 3
     elif functions == "model":
-        d = data.k_max + 1
+        record, d = functools.partial(model_indicator_values, k_max=data.k_max), data.k_max + 1
     else:
         raise ParameterError(f"unknown function set {functions!r}")
-    f_values = np.zeros((n, d))
-    state_log = [] if log_states else None
-    for t in range(n):
-        state = rj_step(data, state, probs, rng)
-        if functions == "toy":
-            if state.k == 1:
-                a = state.alpha[0]
-                f_values[t, 0] = 1.0
-                f_values[t, 1] = a
-                f_values[t, 2] = a * a
-        else:
-            f_values[t, state.k] = 1.0
-        if log_states:
-            state_log.append((state.k, state.alpha.copy()))
-    return Trace(
-        f_values=f_values,
-        state_log=state_log,
-        meta={"sampler_id": f"ar_laplace_{functions}", "seed": rng.seed},
+    probs = move_probs_green(data.f_k)
+    f_values = rj.run_chain(
+        lambda state: rj_step(data, state, probs, rng),
+        initial_state(data).validate(), n, burn_in, record, d,
     )
+    meta = {"sampler_id": f"ar_laplace_{functions}", "seed": rng.seed}
+    return Trace(f_values=f_values, meta=meta)
 
 
 def save_ar_dataset(data: ARData, path, config_hash: str | None = None):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr
 
+from . import rj
 from .errors import ParameterError, TraceParseError
 from .rng import RngStream, sample_truncated_normal_onesided
 from .uq import Trace
@@ -26,14 +27,13 @@ __all__ = [
     "da_update",
     "mode_and_curvature",
     "move_probs_spike_slab",
+    "propose_birth",
+    "propose_death",
     "rj_step",
     "load_spambase",
     "initial_state",
     "run_probit_chain",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
 
 @dataclass
 class ProbitData:
@@ -54,6 +54,8 @@ class ProbitData:
             raise ParameterError("y must pair with the rows of x")
         if not np.all(np.isin(self.y, (0, 1))):
             raise ParameterError("responses must be 0/1")
+        if not np.isfinite(self.x).all():
+            raise ParameterError("x must be finite")
         if self.y.shape[0] < 1 or self.x.shape[1] < 1:
             raise ParameterError("need at least one observation and one predictor")
         if self.sigma <= 0:
@@ -116,16 +118,10 @@ def log_unnorm_posterior(data: ProbitData, state: ProbitState) -> float:
     loglik = float(log_ndtr(data._sign * mu).sum())
     log_prior = (
         size * math.log(data.p_slab)
-        - (size + 1) * (0.5 * _LOG_2PI + math.log(data.sigma))
+        - (size + 1) * (0.5 * rj.LOG_2PI + math.log(data.sigma))
         - float(state.z @ state.z) / (2.0 * data.sigma**2)
     )
     return loglik + log_prior
-
-
-def _cached_logpost(data: ProbitData, state: ProbitState) -> float:
-    if state.logpost is None:
-        state.logpost = log_unnorm_posterior(data, state)
-    return state.logpost
 
 
 def da_update(data: ProbitData, state: ProbitState, rng: RngStream) -> ProbitState:
@@ -174,7 +170,7 @@ def mode_and_curvature(
 
     def derivs(b):
         t = sbase + xs * b
-        log_phi = -0.5 * (_LOG_2PI + t * t)
+        log_phi = -0.5 * (rj.LOG_2PI + t * t)
         inv_mills = np.exp(log_phi - log_ndtr(t))
         grad = float(xs @ inv_mills) - b * prior_prec
         curv = -float(xs2 @ (inv_mills * (inv_mills + t))) - prior_prec
@@ -223,55 +219,42 @@ def move_probs_spike_slab(p_slab: float, r: int, size: int) -> tuple[float, floa
     return 1.0 - q_b - q_d, q_b, q_d
 
 
+def propose_birth(data: ProbitData, state: ProbitState, rng: RngStream):
+    """Include a uniformly chosen excluded predictor; returns (proposal, log_q)."""
+    r, size = data.r, state.size
+    excluded = np.flatnonzero(state.k == 0)
+    j = int(excluded[rng.gen.integers(excluded.shape[0])])
+    k_new = _flip(state.k, j, 1)
+    mean, var = mode_and_curvature(data, k_new, state.z, j)
+    b = mean + math.sqrt(var) * rng.gen.standard_normal()
+    pos = int(np.searchsorted(np.flatnonzero(k_new), j)) + 1
+    proposal = ProbitState(k=k_new, z=np.insert(state.z, pos, b))
+    q_b = move_probs_spike_slab(data.p_slab, r, size)[1]
+    q_d_new = move_probs_spike_slab(data.p_slab, r, size + 1)[2]
+    log_q = math.log(q_d_new) - math.log(size + 1) - math.log(q_b) + math.log(r - size)
+    return proposal, log_q - rj.log_normal_pdf(b, mean, var)
+
+
+def propose_death(data: ProbitData, state: ProbitState, rng: RngStream):
+    """Exclude a uniformly chosen included predictor; returns (proposal, log_q)."""
+    r, size = data.r, state.size
+    included = np.flatnonzero(state.k == 1)
+    j = int(included[rng.gen.integers(included.shape[0])])
+    pos = int(np.searchsorted(included, j)) + 1
+    proposal = ProbitState(k=_flip(state.k, j, 0), z=np.delete(state.z, pos))
+    mean, var = mode_and_curvature(data, state.k, proposal.z, j)
+    q_b_new = move_probs_spike_slab(data.p_slab, r, size - 1)[1]
+    q_d = move_probs_spike_slab(data.p_slab, r, size)[2]
+    log_q = math.log(q_b_new) - math.log(r - size + 1) - math.log(q_d) + math.log(size)
+    return proposal, log_q + rj.log_normal_pdf(float(state.z[pos]), mean, var)
+
+
 def rj_step(data: ProbitData, state: ProbitState, rng: RngStream) -> ProbitState:
     """One reversible jump transition: update, birth, or death."""
-    r = data.r
-    size = state.size
-    q_u, q_b, q_d = move_probs_spike_slab(data.p_slab, r, size)
-    move = rng.gen.random()
-    if move < q_u:
-        return da_update(data, state, rng)
-    if move < q_u + q_b:
-        excluded = np.flatnonzero(state.k == 0)
-        j = int(excluded[rng.gen.integers(excluded.shape[0])])
-        k_new = _flip(state.k, j, 1)
-        mean, var = mode_and_curvature(data, k_new, state.z, j)
-        b = mean + math.sqrt(var) * rng.gen.standard_normal()
-        pos = int(np.searchsorted(np.flatnonzero(k_new), j)) + 1
-        z_new = np.insert(state.z, pos, b)
-        proposal = ProbitState(k=k_new, z=z_new)
-        q_d_new = move_probs_spike_slab(data.p_slab, r, size + 1)[2]
-        log_ratio = (
-            _cached_logpost(data, proposal)
-            + math.log(q_d_new)
-            - math.log(size + 1)
-            - _cached_logpost(data, state)
-            - math.log(q_b)
-            + math.log(r - size)
-            - _log_normal_pdf(b, mean, var)
-        )
-    else:
-        included = np.flatnonzero(state.k == 1)
-        j = int(included[rng.gen.integers(included.shape[0])])
-        pos = int(np.searchsorted(included, j)) + 1
-        b = float(state.z[pos])
-        k_new = _flip(state.k, j, 0)
-        z_new = np.delete(state.z, pos)
-        proposal = ProbitState(k=k_new, z=z_new)
-        mean, var = mode_and_curvature(data, state.k, z_new, j)
-        q_b_new = move_probs_spike_slab(data.p_slab, r, size - 1)[1]
-        log_ratio = (
-            _cached_logpost(data, proposal)
-            + math.log(q_b_new)
-            - math.log(r - size + 1)
-            + _log_normal_pdf(b, mean, var)
-            - _cached_logpost(data, state)
-            - math.log(q_d)
-            + math.log(size)
-        )
-    if math.log(rng.gen.random()) < log_ratio:
-        return proposal
-    return state
+    q_u, q_b, _ = move_probs_spike_slab(data.p_slab, data.r, state.size)
+    return rj.step(
+        data, state, rng, q_u, q_b, da_update, propose_birth, propose_death, log_unnorm_posterior
+    )
 
 
 def _flip(k: np.ndarray, j: int, value: int) -> np.ndarray:
@@ -280,37 +263,17 @@ def _flip(k: np.ndarray, j: int, value: int) -> np.ndarray:
     return out
 
 
-def _log_normal_pdf(x: float, mean: float, var: float) -> float:
-    return -0.5 * (_LOG_2PI + math.log(var)) - 0.5 * (x - mean) ** 2 / var
-
-
 def initial_state(data: ProbitData) -> ProbitState:
     return ProbitState(k=np.zeros(data.r, dtype=np.int8), z=np.zeros(1))
 
 
-def run_probit_chain(
-    data: ProbitData,
-    n: int,
-    rng: RngStream,
-    burn_in: int = 0,
-    log_states: bool = False,
-) -> Trace:
+def run_probit_chain(data: ProbitData, n: int, rng: RngStream, burn_in: int = 0) -> Trace:
     """Run the reversible jump chain recording the r inclusion indicators."""
-    state = initial_state(data).validate()
-    for _ in range(burn_in):
-        state = rj_step(data, state, rng)
-    f_values = np.zeros((n, data.r))
-    state_log = [] if log_states else None
-    for t in range(n):
-        state = rj_step(data, state, rng)
-        f_values[t] = state.k
-        if log_states:
-            state_log.append((int(state.k.sum()), state.z.copy()))
-    return Trace(
-        f_values=f_values,
-        state_log=state_log,
-        meta={"sampler_id": "probit_rj", "seed": rng.seed},
+    f_values = rj.run_chain(
+        lambda state: rj_step(data, state, rng),
+        initial_state(data).validate(), n, burn_in, lambda state: state.k, data.r,
     )
+    return Trace(f_values=f_values, meta={"sampler_id": "probit_rj", "seed": rng.seed})
 
 
 def load_spambase(

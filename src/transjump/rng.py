@@ -8,8 +8,6 @@ thread or process layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import lapack
 from scipy.special import ndtr, ndtri
@@ -18,12 +16,9 @@ from .errors import NumericError, ParameterError
 
 __all__ = [
     "RngStream",
-    "MvnParams",
     "sample_inverse_gaussian",
     "sample_truncated_normal_onesided",
     "sample_inverse_gamma",
-    "sample_mvn",
-    "std_normal_cdf",
     "std_normal_quantile",
     "cholesky_lower",
 ]
@@ -51,36 +46,8 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, stream_id: int) -> "RngStream":
-        """Fresh stream under the same seed (for replications/workers)."""
-        return RngStream(self.seed, stream_id)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-@dataclass
-class MvnParams:
-    """Mean vector and SPD covariance for multivariate normal sampling."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        if self.mean.ndim != 1:
-            raise ParameterError("mean must be a vector")
-        d = self.mean.shape[0]
-        if self.covariance.shape != (d, d):
-            raise ParameterError(
-                f"covariance must be {d}x{d}, got {self.covariance.shape}"
-            )
-        scale = np.abs(self.covariance).max()
-        if scale > 0:
-            asym = np.abs(self.covariance - self.covariance.T).max()
-            if asym > 1e-12 * scale:
-                raise ParameterError("covariance is not symmetric to 1e-12 relative")
 
 
 def cholesky_lower(cov: np.ndarray) -> np.ndarray:
@@ -196,18 +163,6 @@ def sample_inverse_gamma(shape, scale, rng: RngStream):
         raise ParameterError("inverse gamma requires shape > 0 and scale > 0")
     g = rng.gen.gamma(shape, 1.0 / np.asarray(scale, dtype=float))
     return 1.0 / g
-
-
-def sample_mvn(params: MvnParams, rng: RngStream) -> np.ndarray:
-    """mean + L z with L the lower Cholesky factor of the covariance."""
-    L = cholesky_lower(params.covariance)
-    z = rng.gen.standard_normal(params.mean.shape[0])
-    return params.mean + L @ z
-
-
-def std_normal_cdf(x):
-    """Standard normal CDF, erfc-based, accurate to ~1e-15."""
-    return ndtr(x)
 
 
 def std_normal_quantile(p):

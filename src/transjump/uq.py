@@ -48,13 +48,11 @@ _FD_REL_TOL = 1e-6
 class Trace:
     """Time-ordered record of evaluated test functions f(X(t)).
 
-    ``f_values`` has one row per MCMC step. ``state_log`` optionally keeps a
-    compact (k, z-summary) record per step; ``meta`` carries sampler id, seed
+    ``f_values`` has one row per MCMC step; ``meta`` carries sampler id, seed
     and configuration hash for reproducibility.
     """
 
     f_values: np.ndarray
-    state_log: list | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -308,7 +306,6 @@ def simultaneous_cis(
     v: float = 0.6,
     xi_tol: float = 1e-3,
     qmc_points: int = 4096,
-    experimental_unnoised: bool = False,
 ) -> SimCIReport:
     """Simultaneous confidence intervals for H(Pi f) at joint level 1 - alpha.
 
@@ -316,10 +313,6 @@ def simultaneous_cis(
     method through ``spec``, injection of N(0, epsilon^2 V*/n) noise, and the
     rectangle-quantile solve for the common multiplier xi. With epsilon = 0 a
     singular covariance is an explicit error (inject noise), not a warning.
-
-    ``experimental_unnoised`` keeps the inflated widths but does not shift
-    the interval centers by the noise draw; this variant has no supporting
-    theory and defaults off.
     """
     n = trace.n
     a_n, b_n = batch_size_rule(n, v)
@@ -351,8 +344,6 @@ def simultaneous_cis(
         seed=int(trace.meta.get("seed", 0)) + 7_919,
     )
     g = inject_noise(m, epsilon, v_star, n, rng)
-    if experimental_unnoised:
-        g = np.zeros(m)
     center = h_point + g
     half = xi * np.sqrt(v_diag / n)
     intervals = np.column_stack([center - half, center + half])
@@ -378,12 +369,6 @@ def save_trace(trace: Trace, path):
         fh.write(f"{trace.n} {trace.d} {sampler} {seed}\n")
         for row in trace.f_values:
             fh.write("\t".join(f"{x:.17g}" for x in row) + "\n")
-    if trace.state_log is not None:
-        with open(str(path) + ".states", "w", encoding="utf-8") as fh:
-            for t, entry in enumerate(trace.state_log):
-                k, zsummary = entry
-                zs = "\t".join(f"{x:.17g}" for x in np.atleast_1d(zsummary))
-                fh.write(f"{t}\t{k}\t{zs}\n" if zs else f"{t}\t{k}\n")
 
 
 def load_trace(path) -> Trace:

@@ -22,7 +22,6 @@ from transjump.ar_laplace import (
     move_probs_green,
     run_ar_chain,
 )
-from transjump.ar_laplace import _log_normal_pdf as ar_log_normal_pdf
 from transjump.probit import (
     ProbitData,
     ProbitState,
@@ -31,8 +30,10 @@ from transjump.probit import (
     move_probs_spike_slab,
     run_probit_chain,
 )
-from transjump.probit import _flip, _log_normal_pdf as pr_log_normal_pdf
+from transjump.probit import _flip
 from transjump.probit import log_unnorm_posterior as probit_logpost
+from transjump.rj import log_normal_pdf as ar_log_normal_pdf
+from transjump.rj import log_normal_pdf as pr_log_normal_pdf
 from transjump.rng import (
     RngStream,
     sample_inverse_gamma,

@@ -198,7 +198,7 @@ class TestBirthProposal:
 
 class TestRJStep:
     def test_acceptance_ratio_antisymmetry(self, toy_ar_data):
-        from transjump.ar_laplace import _log_normal_pdf
+        from transjump.rj import log_normal_pdf as _log_normal_pdf
 
         probs = move_probs_green(toy_ar_data.f_k)
         gen = np.random.default_rng(17)
@@ -391,9 +391,8 @@ class TestTraceFunctions:
         assert vals[2] == 1.0 and vals.sum() == 1.0
 
     def test_run_chain_emits_trace(self, toy_ar_data):
-        tr = run_ar_chain(toy_ar_data, 200, RngStream(9), burn_in=10, log_states=True)
+        tr = run_ar_chain(toy_ar_data, 200, RngStream(9), burn_in=10)
         assert tr.f_values.shape == (200, 3)
-        assert len(tr.state_log) == 200
         assert tr.meta["sampler_id"] == "ar_laplace_toy"
 
 
@@ -406,6 +405,18 @@ class TestDatasetIO:
         assert np.array_equal(back.x, toy_ar_data.x)
         assert np.array_equal(back.y_start, toy_ar_data.y_start)
         assert np.array_equal(back.f_k, toy_ar_data.f_k)
+
+    @pytest.mark.parametrize("row, col", [(1, 0), (2, 0), (3, 1)], ids=["y_start", "y", "x"])
+    def test_non_finite_value_rejected(self, toy_ar_data, tmp_path, row, col):
+        path = tmp_path / "data.txt"
+        save_ar_dataset(toy_ar_data, path)
+        lines = path.read_text().splitlines()
+        vals = lines[row].split()
+        vals[col] = "nan"
+        lines[row] = " ".join(vals)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParameterError, match="finite"):
+            load_ar_dataset(path)
 
     def test_k_max_zero_round_trip(self, tmp_path):
         cfg = ARSimConfig(n_obs=10, p=1, k_max=0, k_true=0, alpha_true=np.zeros(0),

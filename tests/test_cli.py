@@ -86,6 +86,37 @@ class TestRun:
         assert "inject noise" in capsys.readouterr().err
 
 
+class TestNonFiniteData:
+    def _run(self, sampler, dataset, tmp_path):
+        return main([
+            "run", "--sampler", sampler, "--dataset", str(dataset), "--n", "500",
+            "--trace-out", str(tmp_path / "t.txt"), "--report-out", str(tmp_path / "r.txt"),
+        ])
+
+    def test_ar_dataset(self, toy_dataset, tmp_path, capsys):
+        lines = toy_dataset.read_text().splitlines()
+        # after the config and header lines: y_start, then the rows 'y x'
+        vals = lines[3].split()
+        vals[0] = "nan"
+        lines[3] = " ".join(vals)
+        toy_dataset.write_text("\n".join(lines) + "\n")
+        assert self._run("ar-toy", toy_dataset, tmp_path) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_probit_csv(self, tmp_path, capsys):
+        gen = np.random.default_rng(71)
+        x = gen.standard_normal((40, 3))
+        y = (gen.random(40) < 0.5).astype(int)
+        rows = [",".join(f"{v:.6f}" for v in x[i]) + f",{y[i]}" for i in range(40)]
+        rows[7] = "nan," + rows[7].split(",", 1)[1]
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert self._run("probit", path, tmp_path) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
+
 class TestCoverage:
     def test_small_run_schema(self, toy_dataset, tmp_path, capsys):
         out = tmp_path / "cov.txt"

@@ -322,7 +322,8 @@ class TestMoveProbs:
 
 class TestRJStep:
     def test_antisymmetry(self, probit_small):
-        from transjump.probit import _flip, _log_normal_pdf
+        from transjump.probit import _flip
+        from transjump.rj import log_normal_pdf as _log_normal_pdf
 
         gen = np.random.default_rng(33)
         worst = 0.0
@@ -428,3 +429,13 @@ class TestSpambaseLoader:
         rows = ["1.0,2.0,1", "2.0,3.0,2"]
         with pytest.raises(TraceParseError, match="line 2"):
             load_spambase(self._write(tmp_path, rows))
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_non_finite_feature_rejected(self, tmp_path, standardize):
+        rows = ["1.0,2.0,1", "nan,4.0,0", "0.5,1.0,1", "2.0,3.0,0"]
+        with pytest.raises(ParameterError, match="finite"):
+            load_spambase(self._write(tmp_path, rows), standardize=standardize)
+
+    def test_non_finite_response_rejected(self):
+        with pytest.raises(ParameterError):
+            ProbitData(y=np.array([1.0, np.nan]), x=np.ones((2, 1)), sigma=1.0, p_slab=0.5)

@@ -256,17 +256,6 @@ class TestSimultaneousCIs:
             widths.append(float(np.median(rep.intervals[:, 1] - rep.intervals[:, 0])))
         assert widths[0] > widths[1] > widths[2]
 
-    def test_experimental_unnoised_centers(self):
-        gen = RngStream(9).gen
-        x = gen.standard_normal((10_000, 2))
-        rep = simultaneous_cis(
-            Trace(x, meta={"seed": 4}), identity_spec(2), 0.05, 0.5, RngStream(5),
-            experimental_unnoised=True,
-        )
-        assert np.array_equal(rep.g_noise, np.zeros(2))
-        mids = rep.intervals.mean(axis=1)
-        assert np.allclose(mids, rep.h_point)
-
 
 class TestPersistence:
     def test_trace_round_trip(self, tmp_path):
@@ -277,18 +266,6 @@ class TestPersistence:
         back = load_trace(path)
         assert np.array_equal(tr.f_values, back.f_values)
         assert back.meta["sampler_id"] == "test" and back.meta["seed"] == 42
-
-    def test_state_log_companion(self, tmp_path):
-        tr = Trace(
-            np.ones((3, 1)),
-            state_log=[(0, np.array([])), (1, np.array([0.5])), (1, np.array([0.7]))],
-            meta={"sampler_id": "x", "seed": 1},
-        )
-        path = tmp_path / "trace.txt"
-        save_trace(tr, path)
-        lines = (tmp_path / "trace.txt.states").read_text().splitlines()
-        assert lines[0] == "0\t0"
-        assert lines[1].startswith("1\t1\t0.5")
 
     def test_report_round_trip(self, tmp_path):
         gen = RngStream(11).gen
