@@ -10,6 +10,7 @@ ratios are evaluated in log space.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import rj
-from .errors import GenerationError, NumericError, ParameterError, TraceParseError
+from .errors import GenerationError, NumericError, ParameterError, TraceParseError, require_finite
 from .rng import RngStream, _ig_draws
 from .uq import Trace
 
@@ -27,7 +28,6 @@ __all__ = [
     "ARMoveProbs",
     "ARSimConfig",
     "ToyPosterior",
-    "build_design",
     "check_p1",
     "log_unnorm_posterior",
     "gibbs_update",
@@ -79,14 +79,14 @@ class ARData:
             raise ParameterError("k_max must be non-negative")
         if self.y_start.shape != (self.k_max,):
             raise ParameterError(f"y_start must have length k_max={self.k_max}")
-        if self.sigma <= 0:
-            raise ParameterError("prior scale sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError("prior scale sigma must be positive and finite")
         if self.f_k.shape != (self.k_max + 1,) or np.any(self.f_k <= 0):
             raise ParameterError("f_k must be positive on 0..k_max")
         if abs(self.f_k.sum() - 1.0) > 1e-9:
             raise ParameterError("f_k must sum to 1")
-        if not all(np.isfinite(v).all() for v in (self.y, self.x, self.y_start)):
-            raise ParameterError("y, x and y_start must be finite")
+        for name in ("y", "x", "y_start"):
+            require_finite(name, getattr(self, name))
         lagged = np.concatenate([self.y_start, self.y])
         lags = (
             np.column_stack(
@@ -105,13 +105,6 @@ class ARData:
     @property
     def p(self) -> int:
         return self.x.shape[1]
-
-
-def build_design(data: ARData, k: int) -> np.ndarray:
-    """N x (p+k) design whose i-th row is (x_i, y_{i-1}, ..., y_{i-k})."""
-    if not 0 <= k <= data.k_max:
-        raise ParameterError(f"order k={k} outside 0..{data.k_max}")
-    return data._design_full[:, : data.p + k]
 
 
 def check_p1(data: ARData):
@@ -575,52 +568,25 @@ def _max_on_face(neg_log_f, lo, hi, axis, edge, grid: int = 9):
     return best
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(order: int):
-    return np.polynomial.legendre.leggauss(order)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _panel_gl(
-    lo: float,
-    hi: float,
-    cuts,
-    per_panel: int,
-    order: int = 16,
-    center: float | None = None,
-    scale: float | None = None,
-):
-    """Gauss-Legendre nodes/weights on [lo,hi] split at interior cut points.
+def _panel_gl(lo: float, hi: float, cuts, per_panel: int, center: float, scale: float):
+    """16-point Gauss-Legendre nodes/weights on [lo,hi] split at interior cut points.
 
-    With ``center``/``scale`` the axis is mapped through x = c + s sinh(t)
-    and panels are laid out uniformly in t: resolution stays fine near the
-    mode while wide tails cost only logarithmically many panels. Cut points
-    (integrand kinks) remain panel boundaries in either parametrization.
+    The axis is mapped through x = c + s sinh(t) and panels are laid out
+    uniformly in t: resolution stays fine near the mode while wide tails cost
+    only logarithmically many panels. Cut points (integrand kinks) remain
+    panel boundaries, and each panel is split into ``per_panel`` equal parts.
     """
-    pts, wts = _gauss_legendre(order)
+    s = max(scale, 1e-8)
     inner = sorted(c for c in cuts if lo < c < hi)
-    if center is None:
-        edges = np.array([lo] + inner + [hi])
-        to_x = None
-    else:
-        s = max(scale, 1e-8)
-        fwd = lambda x: math.asinh((x - center) / s)  # noqa: E731
-        edges = np.array([fwd(lo)] + [fwd(c) for c in inner] + [fwd(hi)])
-        to_x = lambda t: center + s * np.sinh(t)  # noqa: E731
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(a, b, per_panel + 1)
-        for aa, bb in zip(sub[:-1], sub[1:]):
-            half = 0.5 * (bb - aa)
-            t = half * pts + 0.5 * (aa + bb)
-            w = half * wts
-            if to_x is None:
-                nodes.append(t)
-                weights.append(w)
-            else:
-                nodes.append(to_x(t))
-                weights.append(w * max(scale, 1e-8) * np.cosh(t))
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.arcsinh((np.array([lo, *inner, hi]) - center) / s)
+    frac = np.arange(per_panel) / per_panel
+    sub = np.append((edges[:-1, None] + np.outer(np.diff(edges), frac)).ravel(), edges[-1])
+    half = 0.5 * np.diff(sub)[:, None]
+    t = (half * _GL_NODES + (sub[:-1, None] + half)).ravel()
+    return center + s * np.sinh(t), (half * _GL_WEIGHTS).ravel() * s * np.cosh(t)
 
 
 def _simpson_nodes(lo: float, hi: float, npts: int):
@@ -657,31 +623,33 @@ def _toy_integral_k1(data: ARData, region: _MassRegion, level: int):
     y = data.y
     sig2 = data.sigma**2
     (a_lo, a_hi), (b_lo, b_hi), (s_lo, s_hi) = region.box
-    outer_cuts = [y[i] / xcol[i] for i in range(n) if abs(wcol[i]) <= 1e-12 and abs(xcol[i]) > 1e-12]
+    # The alpha-marginal is kinked in beta wherever two residual kink lines
+    # w_i a + x_i b = y_i cross; a line with w_i = 0 is itself such a beta,
+    # met by every line not parallel to it. Between crossings it is smooth.
+    outer_cuts = []
+    for i, j in itertools.combinations(range(n), 2):
+        det = wcol[i] * xcol[j] - wcol[j] * xcol[i]
+        if abs(det) > 1e-12:  # parallel lines never cross
+            outer_cuts.append((wcol[i] * y[j] - wcol[j] * y[i]) / det)
     bn, bw = _panel_gl(
         b_lo, b_hi, outer_cuts, per_panel=2 ** (level + 1),
         center=region.mode[1], scale=region.sds[1],
     )
     # per beta column, alpha kinks sit at (y_i - beta x_i)/w_i; panel counts
     # vary per column, so keep everything flat
-    a_nodes = []
-    a_weights = []
-    b_flat = []
-    bw_flat = []
-    for b, wb in zip(bn, bw):
-        cuts = [(y[i] - b * xcol[i]) / wcol[i] for i in range(n) if abs(wcol[i]) > 1e-12]
-        an, aw = _panel_gl(
-            a_lo, a_hi, cuts, per_panel=2 ** (level + 1),
-            center=region.mode[0], scale=region.sds[0],
+    kinked = [i for i in range(n) if abs(wcol[i]) > 1e-12]
+    columns = [
+        _panel_gl(
+            a_lo, a_hi, [(y[i] - b * xcol[i]) / wcol[i] for i in kinked],
+            per_panel=2 ** (level + 1), center=region.mode[0], scale=region.sds[0],
         )
-        a_nodes.append(an)
-        a_weights.append(aw)
-        b_flat.append(np.full(an.shape, b))
-        bw_flat.append(np.full(an.shape, wb))
-    a_nodes = np.concatenate(a_nodes)
-    a_weights = np.concatenate(a_weights)
-    b_flat = np.concatenate(b_flat)
-    bw_flat = np.concatenate(bw_flat)
+        for b in bn
+    ]
+    a_nodes = np.concatenate([an for an, _ in columns])
+    a_weights = np.concatenate([aw for _, aw in columns])
+    sizes = [an.size for an, _ in columns]
+    b_flat = np.repeat(bn, sizes)
+    bw_flat = np.repeat(bw, sizes)
     sn, sw = _simpson_nodes(s_lo, s_hi, 2 ** (level + 7) + 1)
 
     d_grid = np.zeros_like(a_nodes)
@@ -812,14 +780,14 @@ def load_ar_dataset(path) -> ARData:
         raise TraceParseError("expected header 'N p k_max sigma'", line=lineno)
     try:
         n, p, k_max = int(parts[0]), int(parts[1]), int(parts[2])
-        sigma = float(parts[3])
     except ValueError:
         raise TraceParseError("malformed header", line=lineno)
+    (sigma,) = _parse_floats(parts[3:], lineno, "prior scale")
     if len(body) != n + 3:
         raise TraceParseError(f"expected {n + 3} content lines, found {len(body)}")
     lineno, start_line = body[1]
-    y_start = np.array([float(v) for v in start_line.split()]) if k_max else np.zeros(0)
-    if k_max and y_start.shape != (k_max,):
+    y_start = np.array(_parse_floats(start_line.split(), lineno, "starting lag"))
+    if y_start.shape != (k_max,):
         raise TraceParseError(f"y_start must have {k_max} entries", line=lineno)
     y = np.zeros(n)
     x = np.zeros((n, p))
@@ -828,13 +796,21 @@ def load_ar_dataset(path) -> ARData:
         vals = ln.split()
         if len(vals) != p + 1:
             raise TraceParseError(f"expected {p + 1} values", line=lineno)
-        try:
-            y[i] = float(vals[0])
-            x[i] = [float(v) for v in vals[1:]]
-        except ValueError:
-            raise TraceParseError("non-numeric observation", line=lineno)
+        vals = _parse_floats(vals, lineno, "observation")
+        y[i], x[i] = vals[0], vals[1:]
     lineno, fk_line = body[n + 2]
-    f_k = np.array([float(v) for v in fk_line.split()])
+    f_k = np.array(_parse_floats(fk_line.split(), lineno, "prior weight"))
     if f_k.shape != (k_max + 1,):
         raise TraceParseError(f"f_k must have {k_max + 1} entries", line=lineno)
     return ARData(y=y, x=x, y_start=y_start, k_max=k_max, sigma=sigma, f_k=f_k)
+
+
+def _parse_floats(fields, lineno: int, what: str) -> list[float]:
+    try:
+        vals = [float(v) for v in fields]
+    except ValueError:
+        raise TraceParseError(f"non-numeric {what}", line=lineno)
+    bad = [j for j, v in enumerate(vals) if not math.isfinite(v)]
+    if bad:
+        raise TraceParseError(f"{what} field {bad[0] + 1} must be finite", line=lineno)
+    return vals

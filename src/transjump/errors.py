@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class TransjumpError(Exception):
     """Base class for all package-specific errors."""
@@ -37,3 +39,12 @@ class TraceParseError(TransjumpError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def require_finite(name: str, values: np.ndarray) -> None:
+    """Raise ParameterError naming the first non-finite entry of ``values``."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        where = f"row {idx[0]}, column {idx[1]}" if len(idx) == 2 else f"entry {idx[0]}"
+        raise ParameterError(f"{name} must be finite; {where} (from 0) is {values[idx]}")

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from . import rj
-from .errors import ParameterError, TraceParseError
+from .errors import ParameterError, TraceParseError, require_finite
 from .rng import RngStream, sample_truncated_normal_onesided
 from .uq import Trace
 
@@ -54,12 +54,11 @@ class ProbitData:
             raise ParameterError("y must pair with the rows of x")
         if not np.all(np.isin(self.y, (0, 1))):
             raise ParameterError("responses must be 0/1")
-        if not np.isfinite(self.x).all():
-            raise ParameterError("x must be finite")
+        require_finite("x", self.x)
         if self.y.shape[0] < 1 or self.x.shape[1] < 1:
             raise ParameterError("need at least one observation and one predictor")
-        if self.sigma <= 0:
-            raise ParameterError("prior scale sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError("prior scale sigma must be positive and finite")
         if not 0.0 < self.p_slab < 1.0:
             raise ParameterError("spike-and-slab weight must lie in (0, 1)")
         self.y = self.y.astype(np.int8)
@@ -309,6 +308,9 @@ def load_spambase(
                 raise TraceParseError("non-numeric field", line=lineno)
             if vals[-1] not in (0.0, 1.0):
                 raise TraceParseError(f"non-binary label {vals[-1]!r}", line=lineno)
+            if not all(map(math.isfinite, vals)):
+                col = next(j for j, v in enumerate(vals) if not math.isfinite(v))
+                raise TraceParseError(f"feature field {col + 1} must be finite", line=lineno)
             rows.append(vals[:-1])
             labels.append(int(vals[-1]))
     if not rows:

@@ -118,6 +118,30 @@ def truncated_autocov_series(P, pi, f, t_max: int = 10_000) -> np.ndarray:
     return sigma
 
 
+def ar_design(data, k: int) -> np.ndarray:
+    """N x (p+k) AR design with rows (x_i, y_{i-1}, ..., y_{i-k}), built row by row."""
+    series = list(data.y_start) + list(data.y)  # series[k_max + i] is y_i
+    rows = [
+        list(data.x[i]) + [series[data.k_max + i - j] for j in range(1, k + 1)]
+        for i in range(data.n_obs)
+    ]
+    return np.array(rows, dtype=float).reshape(data.n_obs, data.p + k)
+
+
+def sinh_panel_gauss_legendre(lo, hi, cuts, per_panel, center, scale, order=16):
+    """Composite Gauss-Legendre rule in t, x = center + scale sinh(t), one sub-panel at a time."""
+    pts, wts = np.polynomial.legendre.leggauss(order)
+    edges = [math.asinh((v - center) / scale) for v in [lo, *sorted(c for c in cuts if lo < c < hi), hi]]
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        sub = np.linspace(a, b, per_panel + 1)
+        for aa, bb in zip(sub[:-1], sub[1:]):
+            t = 0.5 * (bb - aa) * pts + 0.5 * (aa + bb)
+            nodes.append(center + scale * np.sinh(t))
+            weights.append(0.5 * (bb - aa) * wts * scale * np.cosh(t))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def gaussian_conditional_1d(mean, cov, index: int, values_rest):
     """Mean/variance of one coordinate of a Gaussian given all the others."""
     mean = np.asarray(mean, dtype=float)

@@ -9,7 +9,6 @@ from transjump.ar_laplace import (
     ARSimConfig,
     ARState,
     birth_proposal_params,
-    build_design,
     gibbs_update,
     initial_state,
     load_ar_dataset,
@@ -24,10 +23,11 @@ from transjump.ar_laplace import (
     toy_test_values,
     truncated_poisson_pmf,
 )
-from transjump.errors import GenerationError, ParameterError
+from transjump import ar_laplace
+from transjump.errors import GenerationError, ParameterError, TraceParseError
 from transjump.rng import RngStream
 
-from _oracles import gaussian_conditional_1d
+from _oracles import ar_design, gaussian_conditional_1d, sinh_panel_gauss_legendre
 
 
 def small_data():
@@ -43,19 +43,17 @@ def small_data():
 
 class TestDesign:
     def test_k0_is_x(self, toy_ar_data):
-        assert np.array_equal(build_design(toy_ar_data, 0), toy_ar_data.x)
+        assert np.array_equal(toy_ar_data._design_full[:, : toy_ar_data.p], toy_ar_data.x)
 
     def test_lag_bookkeeping(self):
-        W = build_design(small_data(), 1)
+        W = small_data()._design_full
         assert np.array_equal(W, np.array([[1.1, 4.0], [2.2, 5.0], [0.5, 6.0]]))
 
     def test_column_count(self, toy_ar_data):
-        for k in range(toy_ar_data.k_max + 1):
-            assert build_design(toy_ar_data, k).shape[1] == toy_ar_data.p + k
-
-    def test_out_of_range(self, toy_ar_data):
-        with pytest.raises(ParameterError):
-            build_design(toy_ar_data, 5)
+        data = toy_ar_data
+        assert data._design_full.shape == (data.n_obs, data.p + data.k_max)
+        for k in range(data.k_max + 1):
+            assert np.array_equal(data._design_full[:, : data.p + k], ar_design(data, k))
 
     def test_p1_checked_at_load(self):
         # y inside the column space: N = p + k_max columns span everything
@@ -74,7 +72,7 @@ class TestLogPosterior:
         st2 = ARState(k=1, alpha=np.array([0.2]), beta=np.array([0.9]), tau=1.4, u=u)
         lp1 = log_unnorm_posterior(toy_ar_data, st1)
         lp2 = log_unnorm_posterior(toy_ar_data, st2)
-        W = build_design(toy_ar_data, 1)
+        W = ar_design(toy_ar_data, 1)
         theta = np.array([0.9, 0.2])
         r = toy_ar_data.y - W @ theta
         n, p, k, sig2 = 5, 1, 1, 1.0
@@ -162,7 +160,7 @@ class TestBirthProposal:
             state = ARState(k=0, alpha=np.zeros(0), beta=beta, tau=tau, u=u)
             mean, var = birth_proposal_params(toy_ar_data, state)
             # reference: condition the full (beta, a1) Gaussian on beta
-            W1 = build_design(toy_ar_data, 1)
+            W1 = ar_design(toy_ar_data, 1)
             M = W1.T @ (u[:, None] * W1) + np.eye(2)
             cov = tau * np.linalg.inv(M)
             mvn_mean = np.linalg.solve(M, W1.T @ (u * toy_ar_data.y))
@@ -180,7 +178,7 @@ class TestBirthProposal:
         )
         state = ARState(k=0, alpha=np.zeros(0), beta=np.array([0.7]), tau=1.0, u=np.ones(4))
         mean, var = birth_proposal_params(data, state)
-        W1 = build_design(data, 1)
+        W1 = ar_design(data, 1)
         last = W1[:, 1]
         resid = data.y - W1[:, 0] * 0.7
         ols_mean = float(last @ resid) / float(last @ last)
@@ -346,6 +344,18 @@ class TestSimulate:
         assert abs(data.y.var() - 8.0) < 0.4
 
 
+def _sign_flip_data():
+    cfg = ARSimConfig(n_obs=5, p=1, k_max=1, k_true=1, alpha_true=np.array([0.3]),
+                      beta_true=np.array([0.7]), tau_true=0.4)
+    return simulate_ar_dataset(cfg, RngStream(7))
+
+
+def _toy_data(seed, tau):
+    cfg = ARSimConfig(n_obs=5, p=1, k_max=1, k_true=1, alpha_true=np.array([0.4]),
+                      beta_true=np.array([1.0]), tau_true=tau, sigma=1.0)
+    return simulate_ar_dataset(cfg, RngStream(seed))
+
+
 class TestToyOracle:
     def test_refinement_converged(self, toy_oracle):
         assert toy_oracle.achieved_tol < 1e-6
@@ -353,22 +363,60 @@ class TestToyOracle:
     def test_probabilities_sum_to_one(self, toy_oracle):
         assert abs(toy_oracle.p_k0 + toy_oracle.p_k1 - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("which", ["conftest", "sign_flip", "seed3_tau0.1", "seed99_tau1"])
+    def test_stops_at_level_one(self, which, toy_ar_data, monkeypatch):
+        # with the beta panels cut where kink lines cross, levels 0 and 1
+        # already agree far inside the default rel_tol
+        data = {
+            "conftest": lambda: toy_ar_data,
+            "sign_flip": _sign_flip_data,
+            "seed3_tau0.1": lambda: _toy_data(3, 0.1),
+            "seed99_tau1": lambda: _toy_data(99, 1.0),
+        }[which]()
+        levels = []
+        k1 = ar_laplace._toy_integral_k1
+        monkeypatch.setattr(
+            ar_laplace, "_toy_integral_k1",
+            lambda data, region, level: levels.append(level) or k1(data, region, level),
+        )
+        oracle = toy_quadrature_oracle(data)
+        assert levels == [0, 1]
+        assert oracle.achieved_tol < 1e-8
+
+    def test_matches_recorded_truth(self, toy_oracle):
+        # Regression anchor: the values the oracle gave before the crossing
+        # cuts, when it refined to level 3 (achieved_tol 4.0e-7). The
+        # independent check of the truth is the chain against quadrature in
+        # the acceptance tests.
+        recorded = dict(p_k1=0.6217167580009672, a_mean=0.42119474637622895,
+                        a_sd=0.3208882110555745)
+        for name, value in recorded.items():
+            assert abs(getattr(toy_oracle, name) - value) < 1e-6 * abs(value)
+
+    def test_panel_rule_matches_loop_reference(self):
+        args = (-3.0, 5.0, [-4.0, 0.3, -0.2, 4.9, 7.0], 4, 0.5, 0.8)
+        nodes, weights = ar_laplace._panel_gl(*args)
+        ref_nodes, ref_weights = sinh_panel_gauss_legendre(*args)
+        assert np.allclose(nodes, ref_nodes, rtol=1e-13, atol=1e-13)
+        assert np.allclose(weights, ref_weights, rtol=1e-13, atol=1e-13)
+        # the rule integrates a smooth function across the cuts
+        assert abs(weights @ np.exp(-nodes * nodes) - math.sqrt(math.pi) * 0.5
+                   * (math.erf(5.0) + math.erf(3.0))) < 1e-13
+
     def test_sign_flip_symmetry(self):
         # flipping y and the starting lags negates the conditional mean of A...
         # (the AR lag columns flip with y, so alpha's posterior is sign-symmetric
         # when x flips too)
-        cfg = ARSimConfig(n_obs=5, p=1, k_max=1, k_true=1, alpha_true=np.array([0.3]),
-                          beta_true=np.array([0.7]), tau_true=0.4)
-        data = simulate_ar_dataset(cfg, RngStream(7))
+        data = _sign_flip_data()
         flipped = ARData(
             y=-data.y, x=-data.x, y_start=-data.y_start, k_max=1, sigma=data.sigma,
             f_k=data.f_k,
         )
-        a = toy_quadrature_oracle(data, rel_tol=1e-5)
-        b = toy_quadrature_oracle(flipped, rel_tol=1e-5)
-        assert abs(a.p_k1 - b.p_k1) < 1e-5
-        assert abs(a.a_mean - b.a_mean) < 1e-5  # alpha multiplies flipped lags
-        assert abs(a.a_sd - b.a_sd) < 1e-5
+        a = toy_quadrature_oracle(data)
+        b = toy_quadrature_oracle(flipped)
+        assert abs(a.p_k1 - b.p_k1) < 1e-12
+        assert abs(a.a_mean - b.a_mean) < 1e-12  # alpha multiplies flipped lags
+        assert abs(a.a_sd - b.a_sd) < 1e-12
 
     def test_wrong_shape_rejected(self):
         cfg = ARSimConfig(n_obs=12, p=1, k_max=2, k_true=1, alpha_true=np.array([0.3]),
@@ -406,7 +454,10 @@ class TestDatasetIO:
         assert np.array_equal(back.y_start, toy_ar_data.y_start)
         assert np.array_equal(back.f_k, toy_ar_data.f_k)
 
-    @pytest.mark.parametrize("row, col", [(1, 0), (2, 0), (3, 1)], ids=["y_start", "y", "x"])
+    @pytest.mark.parametrize(
+        "row, col", [(0, 3), (1, 0), (2, 0), (3, 1), (7, 1)],
+        ids=["sigma", "y_start", "y", "x", "f_k"],
+    )
     def test_non_finite_value_rejected(self, toy_ar_data, tmp_path, row, col):
         path = tmp_path / "data.txt"
         save_ar_dataset(toy_ar_data, path)
@@ -415,8 +466,36 @@ class TestDatasetIO:
         vals[col] = "nan"
         lines[row] = " ".join(vals)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParameterError, match="finite"):
+        field = col + 1 if row else 1  # the header's one float field is sigma
+        message = f"^line {row + 1}: .* field {field} must be finite"
+        with pytest.raises(TraceParseError, match=message):
             load_ar_dataset(path)
+
+    @pytest.mark.parametrize("row, what", [(1, "starting lag"), (7, "prior weight")])
+    def test_non_numeric_value_rejected(self, toy_ar_data, tmp_path, row, what):
+        path = tmp_path / "data.txt"
+        save_ar_dataset(toy_ar_data, path)
+        lines = path.read_text().splitlines()
+        lines[row] = "abc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceParseError, match=f"^line {row + 1}: non-numeric {what}"):
+            load_ar_dataset(path)
+
+    def test_non_finite_array_named(self, toy_ar_data):
+        x = toy_ar_data.x.copy()
+        x[3, 0] = np.inf
+        message = r"x must be finite; row 3, column 0 \(from 0\) is inf"
+        with pytest.raises(ParameterError, match=message):
+            ARData(y=toy_ar_data.y, x=x, y_start=toy_ar_data.y_start, k_max=1,
+                   sigma=1.0, f_k=toy_ar_data.f_k)
+        y = toy_ar_data.y.copy()
+        y[2] = np.nan
+        with pytest.raises(ParameterError, match="y must be finite; entry 2"):
+            ARData(y=y, x=toy_ar_data.x, y_start=toy_ar_data.y_start, k_max=1,
+                   sigma=1.0, f_k=toy_ar_data.f_k)
+        with pytest.raises(ParameterError, match="sigma must be positive and finite"):
+            ARData(y=toy_ar_data.y, x=toy_ar_data.x, y_start=toy_ar_data.y_start, k_max=1,
+                   sigma=np.nan, f_k=toy_ar_data.f_k)
 
     def test_k_max_zero_round_trip(self, tmp_path):
         cfg = ARSimConfig(n_obs=10, p=1, k_max=0, k_true=0, alpha_true=np.zeros(0),

@@ -87,11 +87,17 @@ class TestRun:
 
 
 class TestNonFiniteData:
-    def _run(self, sampler, dataset, tmp_path):
+    def _run(self, sampler, dataset, tmp_path, *extra):
         return main([
-            "run", "--sampler", sampler, "--dataset", str(dataset), "--n", "500",
+            "run", "--sampler", sampler, "--dataset", str(dataset), "--n", "500", *extra,
             "--trace-out", str(tmp_path / "t.txt"), "--report-out", str(tmp_path / "r.txt"),
         ])
+
+    def _probit_rows(self):
+        gen = np.random.default_rng(71)
+        x = gen.standard_normal((40, 3))
+        y = (gen.random(40) < 0.5).astype(int)
+        return [",".join(f"{v:.6f}" for v in x[i]) + f",{y[i]}" for i in range(40)]
 
     def test_ar_dataset(self, toy_dataset, tmp_path, capsys):
         lines = toy_dataset.read_text().splitlines()
@@ -101,19 +107,23 @@ class TestNonFiniteData:
         lines[3] = " ".join(vals)
         toy_dataset.write_text("\n".join(lines) + "\n")
         assert self._run("ar-toy", toy_dataset, tmp_path) == 1
-        assert "must be finite" in capsys.readouterr().err
+        assert "line 4: observation field 1 must be finite" in capsys.readouterr().err
         assert not (tmp_path / "t.txt").exists()
 
     def test_probit_csv(self, tmp_path, capsys):
-        gen = np.random.default_rng(71)
-        x = gen.standard_normal((40, 3))
-        y = (gen.random(40) < 0.5).astype(int)
-        rows = [",".join(f"{v:.6f}" for v in x[i]) + f",{y[i]}" for i in range(40)]
+        rows = self._probit_rows()
         rows[7] = "nan," + rows[7].split(",", 1)[1]
         path = tmp_path / "p.csv"
         path.write_text("\n".join(rows) + "\n")
         assert self._run("probit", path, tmp_path) == 1
-        assert "must be finite" in capsys.readouterr().err
+        assert "line 8: feature field 1 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_probit_nan_prior_scale(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(self._probit_rows()) + "\n")
+        assert self._run("probit", path, tmp_path, "--sigma", "nan") == 1
+        assert "sigma must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "t.txt").exists()
 
 

@@ -432,9 +432,16 @@ class TestSpambaseLoader:
 
     @pytest.mark.parametrize("standardize", [True, False])
     def test_non_finite_feature_rejected(self, tmp_path, standardize):
-        rows = ["1.0,2.0,1", "nan,4.0,0", "0.5,1.0,1", "2.0,3.0,0"]
-        with pytest.raises(ParameterError, match="finite"):
+        # found before standardizing spreads the nan over its whole column
+        rows = ["1.0,2.0,1", "2.0,4.0,0", "0.5,inf,1", "nan,3.0,0"]
+        with pytest.raises(TraceParseError, match="^line 3: feature field 2 must be finite"):
             load_spambase(self._write(tmp_path, rows), standardize=standardize)
+
+    def test_non_finite_design_named(self):
+        x = np.ones((4, 3))
+        x[2, 1] = np.nan
+        with pytest.raises(ParameterError, match=r"x must be finite; row 2, column 1 \(from 0\)"):
+            ProbitData(y=np.array([0, 1, 0, 1]), x=x, sigma=1.0, p_slab=0.5)
 
     def test_non_finite_response_rejected(self):
         with pytest.raises(ParameterError):
