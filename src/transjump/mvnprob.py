@@ -1,11 +1,17 @@
 """Quasi-Monte Carlo estimation of multivariate normal rectangle probabilities.
 
-Implements the separation-of-variables transform of Genz: the rectangle
-probability is mapped to an integral over the unit cube, variables are
-reordered for numerical stability (smallest conditional interval first), and
-the cube integral is averaged over a randomized low-discrepancy point set.
-Randomization over independent shifts provides a standard-error estimate,
-which the rectangle-quantile solver uses when it checks its bracket.
+The covariance is first split into the connected components of its nonzero
+pattern. Coordinates in different components are independent, so the
+rectangle probability is the product of the per-component probabilities. A
+component of one coordinate (for example a quantity that is constant over the
+chain, whose covariance is only the injected noise) is a univariate normal
+interval and is exact. Every larger component uses the separation-of-variables
+transform of Genz: its probability is mapped to an integral over the unit
+cube, variables are reordered for numerical stability (smallest conditional
+interval first), and the cube integral is averaged over a randomized
+low-discrepancy point set. Randomization over independent shifts provides a
+standard-error estimate, which the rectangle-quantile solver uses when it
+checks its bracket.
 
 The rectangle quantile (the common interval multiplier xi) is found by a
 bracketed Illinois regula falsi on the probit scale, ndtri(p(xi)), where the
@@ -21,7 +27,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import ndtr, ndtri
 
-from .errors import NumericError, ParameterError, SolverError
+from .errors import NumericError, ParameterError, SolverError, require_finite
 from .rng import RngStream, std_normal_quantile
 
 __all__ = [
@@ -77,6 +83,11 @@ class RectProbRequest:
             raise ParameterError(
                 f"covariance must be {m}x{m}, got {self.covariance.shape}"
             )
+        # infinite bounds give half-open or unbounded sides; NaN has no meaning
+        require_finite("lower", np.where(np.isinf(self.lower), 0.0, self.lower))
+        require_finite("upper", np.where(np.isinf(self.upper), 0.0, self.upper))
+        require_finite("mean", self.mean)
+        require_finite("covariance", self.covariance)
         if np.any(self.lower > self.upper):
             raise ParameterError("requires lower[i] <= upper[i]")
         if self.n_shifts < _MIN_SHIFTS:
@@ -165,7 +176,7 @@ def _cube_integrand(L, a, b, w):
     d = np.full(npts, ndtr(a[0] / L[0, 0]))
     e = np.full(npts, ndtr(b[0] / L[0, 0]))
     f = e - d
-    y = np.zeros((npts, m - 1)) if m > 1 else None
+    y = np.zeros((npts, m - 1))
     for j in range(1, m):
         u = d + w[:, j - 1] * (e - d)
         np.clip(u, tiny, 1.0 - 1e-16, out=u)
@@ -177,29 +188,60 @@ def _cube_integrand(L, a, b, w):
     return f
 
 
+def _components(cov: np.ndarray) -> np.ndarray:
+    """Label of each coordinate's connected component in the nonzero pattern
+    of ``cov``: the smallest index in it, spread one link per sweep (a
+    factorizable covariance has a nonzero diagonal, so each coordinate keeps
+    its own label in the minimum). Coordinates with different labels are
+    independent."""
+    linked = (cov != 0) | (cov.T != 0)
+    labels = np.arange(cov.shape[0])
+    while True:
+        spread = np.where(linked, labels, labels.shape[0]).min(axis=1)
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
+
+
 def mvn_rectangle_prob(req: RectProbRequest) -> RectProbResult:
     """Probability that an N(mean, covariance) vector lies in [lower, upper].
 
-    Randomized QMC (Richtmyer sequence with independent uniform shifts); the
-    returned ``mc_error`` is the standard error across shift replicates.
+    The probability is the product over the independent blocks of the
+    covariance. A single coordinate is exact. Larger blocks use randomized
+    QMC (Richtmyer sequence with independent uniform shifts): each shift is
+    one draw of m - 1 uniforms, of which every block takes its own disjoint
+    slice. The returned ``mc_error`` is the standard error of the product
+    across shift replicates, 0 when every block is a single coordinate.
     """
     m = req.dim
     a = req.lower - req.mean
     b = req.upper - req.mean
     cov = _factor_with_jitter(req.covariance)
-    L, a, b = _ordered_cholesky(cov, a, b)
-    if m == 1:
-        p = float(ndtr(b[0] / L[0, 0]) - ndtr(a[0] / L[0, 0]))
-        return RectProbResult(probability=p, mc_error=0.0)
-    roots = np.sqrt(_primes(m - 1))
+    labels = _components(cov)
+    sizes = np.bincount(labels, minlength=m)
+    alone = sizes[labels] == 1
+    sd = np.sqrt(np.diag(cov)[alone])
+    exact = float(np.prod(ndtr(b[alone] / sd) - ndtr(a[alone] / sd)))
+    factors = []
+    for label in np.flatnonzero(sizes > 1):
+        block = np.flatnonzero(labels == label)
+        factors.append(_ordered_cholesky(cov[np.ix_(block, block)], a[block], b[block]))
+    if not factors:
+        return RectProbResult(probability=exact, mc_error=0.0)
+    widest = max(L.shape[0] for L, _, _ in factors)
+    roots = np.sqrt(_primes(widest - 1))
     idx = np.arange(1, req.n_points + 1)[:, None]
     base = idx * roots[None, :]  # frac() applied after shifting
-    estimates = np.empty(req.n_shifts)
+    estimates = np.full(req.n_shifts, exact)
     for r in range(req.n_shifts):
         shift_rng = RngStream(req.seed, stream_id=r)
         shift = shift_rng.gen.random(m - 1)
-        w = np.modf(base + shift)[0]
-        estimates[r] = np.mean(_cube_integrand(L, a, b, w))
+        start = 0
+        for L, a_blk, b_blk in factors:
+            dim = L.shape[0] - 1
+            w = np.modf(base[:, :dim] + shift[start : start + dim])[0]
+            estimates[r] *= np.mean(_cube_integrand(L, a_blk, b_blk, w))
+            start += dim
     prob = float(np.mean(estimates))
     err = float(np.std(estimates, ddof=1) / np.sqrt(req.n_shifts))
     prob = min(max(prob, 0.0), 1.0)
@@ -240,6 +282,8 @@ def solve_rectangle_quantile(
     m = v_diag.shape[0]
     if covariance.shape != (m, m):
         raise ParameterError("covariance shape does not match v_diag")
+    require_finite("v_diag", v_diag)
+    require_finite("covariance", covariance)
     if np.any(v_diag <= 0):
         raise ParameterError("v_diag entries must be positive")
     rel = np.abs(np.diag(covariance) - v_diag) / np.maximum(np.abs(v_diag), 1e-300)

@@ -86,8 +86,8 @@ def test_monotone_in_xi():
 
 @pytest.mark.parametrize("m", [67, 100])
 def test_dimension_beyond_66_identity_closed_form(m):
-    # independent coordinates: the Genz integrand is constant, so the QMC
-    # estimate equals (2 Phi(c) - 1)^m up to rounding
+    # independent coordinates: every block is one coordinate, so the result
+    # is the product (2 Phi(c) - 1)^m up to rounding
     c = 3.0
     res = mvn_rectangle_prob(
         RectProbRequest(lower=-c * np.ones(m), upper=c * np.ones(m),
@@ -119,6 +119,145 @@ def test_hard_singularity_rejected():
         mvn_rectangle_prob(
             RectProbRequest(lower=[-1.0, -1.0], upper=[1.0, 1.0], mean=[0.0, 0.0], covariance=bad)
         )
+
+
+class TestIndependentBlocks:
+    def test_interleaved_blocks_match_product_of_grids(self):
+        # a dense 3x3 block on coordinates (5, 0, 3), a 2x2 block on (1, 6)
+        # and the singletons 2 and 4
+        blocks = [
+            ([5, 0, 3], np.array([[1.2, 0.5, -0.3], [0.5, 0.9, 0.2], [-0.3, 0.2, 1.5]])),
+            ([1, 6], np.array([[2.0, -0.9], [-0.9, 0.7]])),
+            ([2], np.array([[0.4]])),
+            ([4], np.array([[3.0]])),
+        ]
+        cov = np.zeros((7, 7))
+        for idx, sub in blocks:
+            cov[np.ix_(idx, idx)] = sub
+        lower = np.array([-1.0, -2.0, -0.5, -1.5, -np.inf, -0.8, -1.2])
+        upper = np.array([1.5, 1.0, 0.9, 2.0, 1.1, 1.3, 0.6])
+        res = mvn_rectangle_prob(
+            RectProbRequest(lower=lower, upper=upper, mean=np.zeros(7), covariance=cov, seed=4)
+        )
+        ref = 1.0
+        for idx, sub in blocks:
+            # the grid needs finite bounds; 12 sd stands in for -inf
+            lo = np.maximum(lower[idx], -12.0 * np.sqrt(np.diag(sub)))
+            ref *= mvn_rectangle_grid(lo, upper[idx], sub, n_grid=121 if len(idx) == 3 else 401)
+        assert abs(res.probability - ref) < 1e-3, (res.probability, ref)
+        assert res.mc_error > 0.0
+
+    def test_blocks_take_disjoint_shift_slices(self, monkeypatch):
+        # two identical blocks: with a shared slice of the shift they would
+        # see the same points and the per-shift products would be squares
+        points = []
+        integrand = mvnprob._cube_integrand
+
+        def recorded(L, a, b, w):
+            points.append(w.copy())
+            return integrand(L, a, b, w)
+
+        monkeypatch.setattr(mvnprob, "_cube_integrand", recorded)
+        sub = np.array([[1.0, 0.5], [0.5, 1.0]])
+        cov = np.zeros((4, 4))
+        cov[:2, :2] = cov[2:, 2:] = sub
+        kw = dict(n_points=1024, seed=9)
+        res = mvn_rectangle_prob(
+            RectProbRequest(lower=-np.ones(4), upper=np.ones(4), mean=np.zeros(4),
+                            covariance=cov, **kw)
+        )
+        assert len(points) == 2 * 8
+        for first, second in zip(points[::2], points[1::2]):
+            assert not np.array_equal(first, second)
+        half = mvn_rectangle_prob(
+            RectProbRequest(lower=-np.ones(2), upper=np.ones(2), mean=np.zeros(2),
+                            covariance=sub, **kw)
+        )
+        assert abs(res.probability - half.probability**2) < 1e-3
+
+    def test_components_follow_a_long_chain(self):
+        # a tridiagonal pattern on a shuffled order: the smallest index must
+        # travel five links to reach the far end of the chain
+        order = [4, 0, 6, 2, 5, 1]
+        cov = np.eye(7)
+        for i, j in zip(order[:-1], order[1:]):
+            cov[i, j] = cov[j, i] = 0.3
+        labels = mvnprob._components(cov)
+        assert labels.tolist() == [0, 0, 0, 3, 0, 0, 0]
+
+    def test_diagonal_m57_is_exact_without_qmc(self, monkeypatch):
+        calls = []
+        integrand = mvnprob._cube_integrand
+
+        def counted(*args):
+            calls.append(args)
+            return integrand(*args)
+
+        monkeypatch.setattr(mvnprob, "_cube_integrand", counted)
+        c = 2.7
+        v = np.linspace(0.01, 4.0, 57)
+        res = mvn_rectangle_prob(
+            RectProbRequest(lower=-c * np.sqrt(v), upper=c * np.sqrt(v),
+                            mean=np.zeros(57), covariance=np.diag(v))
+        )
+        assert abs(res.probability - (2.0 * ndtr(c) - 1.0) ** 57) < 1e-12
+        assert res.mc_error == 0.0
+        assert calls == []
+
+    def test_single_dense_block_regression_anchor(self):
+        # Regression anchor only: the value was frozen from the unsplit QMC
+        # code at this seed. A covariance with no zero entry is one block, so
+        # the arithmetic must stay exactly the same; this checks no accuracy.
+        cov = np.array([[2.0, 0.6, -0.3, 0.2], [0.6, 1.5, 0.4, -0.1],
+                        [-0.3, 0.4, 1.0, 0.25], [0.2, -0.1, 0.25, 0.8]])
+        res = mvn_rectangle_prob(
+            RectProbRequest(lower=[-2.0, -1.5, -np.inf, -1.0], upper=[1.8, 2.2, 1.1, np.inf],
+                            mean=[0.1, -0.2, 0.0, 0.3], covariance=cov, n_points=1024, seed=5)
+        )
+        assert res.probability == 0.5334196179177757
+        assert res.mc_error == 0.00014082150007921297
+
+
+class TestNonFiniteInput:
+    def _request(self, **changes):
+        kw = dict(lower=-np.ones(3), upper=np.ones(3), mean=np.zeros(3), covariance=np.eye(3))
+        kw.update(changes)
+        return RectProbRequest(**kw)
+
+    @pytest.mark.parametrize("name", ["lower", "upper"])
+    def test_nan_bound_rejected(self, name):
+        bound = np.array([-1.0, np.nan, -1.0]) if name == "lower" else np.array([1.0, 1.0, np.nan])
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            self._request(**{name: bound})
+
+    def test_infinite_bounds_allowed(self):
+        res = mvn_rectangle_prob(self._request(lower=[-np.inf, -1.0, -np.inf],
+                                               upper=[np.inf, 1.0, 0.0]))
+        assert abs(res.probability - 0.5 * (2.0 * ndtr(1.0) - 1.0)) < 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(ParameterError, match="mean must be finite; entry 1"):
+            self._request(mean=np.array([0.0, bad, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        cov = np.eye(3)
+        cov[2, 0] = bad
+        with pytest.raises(ParameterError, match="covariance must be finite; row 2, column 0"):
+            self._request(covariance=cov)
+
+    def test_solver_rejects_nan_off_diagonal(self):
+        cov = np.eye(3)
+        cov[0, 1] = cov[1, 0] = np.nan
+        with pytest.raises(ParameterError, match="covariance must be finite"):
+            solve_rectangle_quantile(0.05, np.ones(3), cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solver_rejects_non_finite_v_diag(self, bad):
+        v = np.array([1.0, bad, 1.0])
+        with pytest.raises(ParameterError, match="v_diag must be finite"):
+            solve_rectangle_quantile(0.05, v, np.diag(v))
 
 
 class TestQuantileSolver:
@@ -198,6 +337,13 @@ class TestSecantSolver:
     def test_identity_m4_needs_at_most_four_evaluations(self, count_evaluations):
         solve_rectangle_quantile(0.05, np.ones(4), np.eye(4))
         assert len(count_evaluations) <= 4
+
+    def test_noise_only_m57_needs_at_most_four_evaluations(self, count_evaluations):
+        # every quantity constant over the chain: the covariance is eps^2 I
+        tol, eps2 = 1e-3, 0.3**2
+        xi = solve_rectangle_quantile(0.05, np.full(57, eps2), eps2 * np.eye(57), tol=tol)
+        assert len(count_evaluations) <= 4
+        assert abs((2.0 * ndtr(xi) - 1.0) ** 57 - 0.95) <= tol
 
     def test_random_covariances_need_at_most_five_evaluations(self, count_evaluations):
         for trial, alpha, cov in _criterion5_cases():
