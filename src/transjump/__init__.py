@@ -12,6 +12,8 @@ Modules:
 - ``ar_laplace``: reversible jump sampler for Laplace-error autoregression
   order selection
 - ``probit``: reversible jump sampler for probit variable selection
+- ``textio``: the comment, ``# config``, number and error conventions of
+  every text file the package reads or writes
 - ``cli``: the ``transjump`` command-line interface
 """
 

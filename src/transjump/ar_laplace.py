@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from . import rj
+from . import rj, textio
 from .errors import GenerationError, NumericError, ParameterError, TraceParseError, require_finite
 from .rng import RngStream, _ig_draws
 from .uq import Trace
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _RESID_CLAMP = 1e-300  # measure-zero exact-zero residuals, keeps mu_i finite
+_TOY_REL_TOL = 1e-6
+_TOY_MAX_LEVEL = 4
 
 
 @dataclass
@@ -416,14 +418,14 @@ class ToyPosterior:
         return np.array([self.p_k0, self.p_k1, self.a_mean, self.a_sd])
 
 
-def toy_quadrature_oracle(data: ARData, rel_tol: float = 1e-6, max_level: int = 4) -> ToyPosterior:
+def toy_quadrature_oracle(data: ARData) -> ToyPosterior:
     """Tensor-quadrature evaluation of the un-augmented toy posterior.
 
     Integrates the original (auxiliary-free) Laplace-likelihood posterior per
     model over (coefficients, log tau). The coefficient integrals use
     Gauss-Legendre panels split exactly at the absolute-residual kink lines,
     so refinement converges fast despite the non-smooth likelihood. Levels
-    double the node counts until all four outputs stabilize below ``rel_tol``;
+    double the node counts until all four outputs stabilize below 1e-6;
     failure to converge raises, reporting the achieved tolerance.
     """
     if data.k_max != 1 or data.p != 1 or data.n_obs > 5:
@@ -460,7 +462,7 @@ def toy_quadrature_oracle(data: ARData, rel_tol: float = 1e-6, max_level: int = 
 
     prev = None
     achieved = np.inf
-    for level in range(max_level + 1):
+    for level in range(_TOY_MAX_LEVEL + 1):
         log_i0 = _toy_integral_k0(data, region0, level)
         log_i1, a_mean, a_sd = _toy_integral_k1(data, region1, level)
         log_i0 += math.log(data.f_k[0])
@@ -469,13 +471,13 @@ def toy_quadrature_oracle(data: ARData, rel_tol: float = 1e-6, max_level: int = 
         out = np.array([1.0 - p1, p1, a_mean, a_sd])
         if prev is not None:
             achieved = float(np.max(np.abs(out - prev) / np.maximum(np.abs(prev), 1e-3)))
-            if achieved < rel_tol:
+            if achieved < _TOY_REL_TOL:
                 return ToyPosterior(
                     p_k0=out[0], p_k1=out[1], a_mean=out[2], a_sd=out[3], achieved_tol=achieved
                 )
         prev = out
     raise NumericError(
-        f"toy quadrature did not converge: achieved {achieved:.2e} > {rel_tol:.2e}"
+        f"toy quadrature did not converge: achieved {achieved:.2e} > {_TOY_REL_TOL:.2e}"
     )
 
 
@@ -754,63 +756,34 @@ def run_ar_chain(
 
 def save_ar_dataset(data: ARData, path, config_hash: str | None = None):
     """Header 'N p k_max sigma', y_start line, N observation rows, f_k line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if config_hash:
-            fh.write(f"# config {config_hash}\n")
-        fh.write(f"{data.n_obs} {data.p} {data.k_max} {data.sigma:.17g}\n")
-        fh.write(" ".join(f"{v:.17g}" for v in data.y_start) + "\n")
-        for i in range(data.n_obs):
-            row = [data.y[i]] + list(data.x[i])
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        fh.write(" ".join(f"{v:.17g}" for v in data.f_k) + "\n")
+    lines = [
+        f"{data.n_obs} {data.p} {data.k_max} {textio.full(data.sigma)}",
+        textio.row(data.y_start),
+        *map(textio.row, np.column_stack([data.y, data.x])),
+        textio.row(data.f_k),
+    ]
+    textio.write_text(path, lines, config_hash)
 
 
 def load_ar_dataset(path) -> ARData:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    # keep blank lines (the y_start line is empty when k_max = 0), drop comments
-    body = [(i + 1, ln) for i, ln in enumerate(lines) if not ln.startswith("#")]
-    while body and not body[-1][1]:
-        body.pop()
-    if not body:
+    _, records = textio.read_records(path)
+    if not records:
         raise TraceParseError("empty dataset file")
-    lineno, header = body[0]
+    lineno, header = records[0]
     parts = header.split()
     if len(parts) != 4:
         raise TraceParseError("expected header 'N p k_max sigma'", line=lineno)
-    try:
-        n, p, k_max = int(parts[0]), int(parts[1]), int(parts[2])
-    except ValueError:
-        raise TraceParseError("malformed header", line=lineno)
-    (sigma,) = _parse_floats(parts[3:], lineno, "prior scale")
-    if len(body) != n + 3:
-        raise TraceParseError(f"expected {n + 3} content lines, found {len(body)}")
-    lineno, start_line = body[1]
-    y_start = np.array(_parse_floats(start_line.split(), lineno, "starting lag"))
-    if y_start.shape != (k_max,):
-        raise TraceParseError(f"y_start must have {k_max} entries", line=lineno)
-    y = np.zeros(n)
-    x = np.zeros((n, p))
-    for i in range(n):
-        lineno, ln = body[2 + i]
-        vals = ln.split()
-        if len(vals) != p + 1:
-            raise TraceParseError(f"expected {p + 1} values", line=lineno)
-        vals = _parse_floats(vals, lineno, "observation")
-        y[i], x[i] = vals[0], vals[1:]
-    lineno, fk_line = body[n + 2]
-    f_k = np.array(_parse_floats(fk_line.split(), lineno, "prior weight"))
-    if f_k.shape != (k_max + 1,):
-        raise TraceParseError(f"f_k must have {k_max + 1} entries", line=lineno)
-    return ARData(y=y, x=x, y_start=y_start, k_max=k_max, sigma=sigma, f_k=f_k)
-
-
-def _parse_floats(fields, lineno: int, what: str) -> list[float]:
-    try:
-        vals = [float(v) for v in fields]
-    except ValueError:
-        raise TraceParseError(f"non-numeric {what}", line=lineno)
-    bad = [j for j, v in enumerate(vals) if not math.isfinite(v)]
-    if bad:
-        raise TraceParseError(f"{what} field {bad[0] + 1} must be finite", line=lineno)
-    return vals
+    n, p, k_max = textio.counts(parts[:3], lineno, "header count")
+    (sigma,) = textio.floats(parts[3:], lineno, "prior scale")
+    # the starting-lag line is blank, so not a record, when k_max = 0
+    lag_lines = 1 if k_max else 0
+    if len(records) != n + 2 + lag_lines:
+        raise TraceParseError(
+            f"expected {n + 2 + lag_lines} content lines, found {len(records)}"
+        )
+    y_start = textio.table(records[1 : 1 + lag_lines], k_max, "starting lag").reshape(-1)
+    rows = textio.table(records[1 + lag_lines : -1], p + 1, "observation")
+    f_k = textio.table(records[-1:], k_max + 1, "prior weight")[0]
+    # contiguous copies: BLAS products on strided views round differently
+    return ARData(y=rows[:, 0].copy(), x=rows[:, 1:].copy(), y_start=y_start,
+                  k_max=k_max, sigma=sigma, f_k=f_k)

@@ -17,8 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import ar_laplace, probit, spectral, uq
-from .errors import TransjumpError
+from . import ar_laplace, probit, spectral, textio, uq
+from .errors import TraceParseError, TransjumpError
 from .rng import RngStream
 
 __all__ = ["main"]
@@ -35,33 +35,34 @@ def _config_hash(settings: dict) -> str:
 
 
 def _load_config_file(path) -> dict:
+    """key -> (line number, value text) of a key-value settings file."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-            else:
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise TransjumpError(
-                        f"config line {lineno}: expected 'key = value'"
-                    )
-                key, value = parts
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in textio.read_records(path)[1]:
+        if "=" in line:
+            key, _, value = line.partition("=")
+        else:
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise TraceParseError("expected 'key = value'", line=lineno)
+            key, value = parts
+        out[key.strip().replace("-", "_")] = lineno, value.strip()
     return out
 
 
 def _resolve(args: argparse.Namespace, keys: dict) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags; a value takes its default's type."""
     settings = dict(keys)
     if getattr(args, "config", None):
-        for k, v in _load_config_file(args.config).items():
+        for k, (lineno, v) in _load_config_file(args.config).items():
             if k not in settings:
-                raise TransjumpError(f"unknown config key {k!r}")
-            settings[k] = type(keys[k])(v) if keys[k] is not None else v
+                raise TraceParseError(f"unknown config key {k!r}", line=lineno)
+            kind = type(keys[k])
+            try:
+                settings[k] = kind(v)
+            except ValueError:
+                raise TraceParseError(
+                    f"{k} must be of type {kind.__name__}, got {v!r}", line=lineno
+                ) from None
     for k in keys:
         flag = getattr(args, k, None)
         if flag is not None:
@@ -69,10 +70,15 @@ def _resolve(args: argparse.Namespace, keys: dict) -> dict:
     return settings
 
 
-def _add_keys(parser: argparse.ArgumentParser, keys: dict, types: dict):
+def _float_list(settings: dict, key: str) -> list[float]:
+    """A comma-separated setting as finite floats."""
+    return textio.floats([v for v in settings[key].split(",") if v], None, key)
+
+
+def _add_keys(parser: argparse.ArgumentParser, keys: dict):
     parser.add_argument("--config", help="key-value settings file")
-    for k in keys:
-        parser.add_argument(f"--{k.replace('_', '-')}", dest=k, type=types[k])
+    for k, default in keys.items():
+        parser.add_argument(f"--{k.replace('_', '-')}", dest=k, type=type(default))
 
 
 # ----------------------------------------------------------------- simulate-ar
@@ -85,35 +91,31 @@ _SIM_PRESETS = {
                       prior="poisson", poisson_mean=2.0),
 }
 
+# every preset sets the keys after `out`; their defaults here only give each flag its type
 _SIM_KEYS = dict(preset="toy", seed=0, out="ar_dataset.txt", n_obs=0, p=0,
                  k_max=0, k_true=0, alpha="", beta="", tau=0.0, sigma=1.0,
                  prior="", poisson_mean=0.0)
-_SIM_TYPES = dict(preset=str, seed=int, out=str, n_obs=int, p=int, k_max=int,
-                  k_true=int, alpha=str, beta=str, tau=float, sigma=float,
-                  prior=str, poisson_mean=float)
 
 
 def cmd_simulate_ar(args) -> int:
-    settings = _resolve(args, _SIM_KEYS)
-    preset = _SIM_PRESETS.get(settings["preset"])
+    """defaults < preset < config file < explicit flags."""
+    name = _resolve(args, _SIM_KEYS)["preset"]
+    preset = _SIM_PRESETS.get(name)
     if preset is None:
-        print(f"unknown preset {settings['preset']!r}", file=sys.stderr)
+        print(f"unknown preset {name!r}", file=sys.stderr)
         return 2
-    merged = dict(preset)
-    for k in merged:
-        if settings.get(k):
-            merged[k] = settings[k]
-    alpha = np.array([float(v) for v in str(merged["alpha"]).split(",") if v])
-    if merged["beta"]:
-        beta = np.array([float(v) for v in str(merged["beta"]).split(",") if v])
+    settings = _resolve(args, {**_SIM_KEYS, **preset})
+    alpha = np.array(_float_list(settings, "alpha"))
+    if settings["beta"]:
+        beta = np.array(_float_list(settings, "beta"))
     else:
-        rng_beta = RngStream(int(settings["seed"]), 999)
-        beta = rng_beta.gen.standard_normal(int(merged["p"]))
+        rng_beta = RngStream(settings["seed"], 999)
+        beta = rng_beta.gen.standard_normal(settings["p"])
     config = ar_laplace.ARSimConfig(
-        n_obs=int(merged["n_obs"]), p=int(merged["p"]), k_max=int(merged["k_max"]),
-        k_true=int(merged["k_true"]), alpha_true=alpha, beta_true=beta,
-        tau_true=float(merged["tau"]), sigma=float(merged["sigma"]),
-        prior=str(merged["prior"]), poisson_mean=float(merged["poisson_mean"]),
+        n_obs=settings["n_obs"], p=settings["p"], k_max=settings["k_max"],
+        k_true=settings["k_true"], alpha_true=alpha, beta_true=beta,
+        tau_true=settings["tau"], sigma=settings["sigma"],
+        prior=settings["prior"], poisson_mean=settings["poisson_mean"],
     )
     data = ar_laplace.simulate_ar_dataset(config, RngStream(int(settings["seed"])))
     ar_laplace.save_ar_dataset(data, settings["out"], config_hash=_config_hash(settings))
@@ -128,10 +130,6 @@ _RUN_KEYS = dict(sampler="ar-toy", dataset="ar_dataset.txt", n=10_000,
                  burn_in=-1, seed=0, epsilon=0.001, alpha=0.05, v=0.6,
                  v_star_scale=1.0, sigma=1.0, p_slab=0.5, standardize=1,
                  trace_out="trace.txt", report_out="report.txt")
-_RUN_TYPES = dict(sampler=str, dataset=str, n=int, burn_in=int, seed=int,
-                  epsilon=float, alpha=float, v=float, v_star_scale=float,
-                  sigma=float, p_slab=float, standardize=int, trace_out=str,
-                  report_out=str)
 
 
 def _run_trace(settings) -> tuple[uq.Trace, uq.DeltaSpec]:
@@ -186,8 +184,6 @@ def cmd_run(args) -> int:
 _COV_KEYS = dict(dataset="ar_dataset.txt", replications=500, n=10_000,
                  burn_in=-1, seed=0, alpha=0.05, v=0.6,
                  epsilon_grid="10,1,0.1,0.001", workers=1, out="coverage.txt")
-_COV_TYPES = dict(dataset=str, replications=int, n=int, burn_in=int, seed=int,
-                  alpha=float, v=float, epsilon_grid=str, workers=int, out=str)
 
 # Stream ids of `coverage`: replication r runs its chain on stream 2r and
 # draws the noise for epsilon index e on stream 1_000_000 + 64r + e. The ids
@@ -231,7 +227,7 @@ def _coverage_one(rep: int, *, data, n, burn_in, seed, alpha, v, eps_grid, truth
 def cmd_coverage(args) -> int:
     settings = _resolve(args, _COV_KEYS)
     chash = _config_hash(settings)
-    eps_grid = [float(v) for v in str(settings["epsilon_grid"]).split(",") if v]
+    eps_grid = _float_list(settings, "epsilon_grid")
     reps = int(settings["replications"])
     _check_stream_layout(reps, len(eps_grid))
     data = ar_laplace.load_ar_dataset(settings["dataset"])
@@ -264,7 +260,6 @@ def cmd_coverage(args) -> int:
             results[rep] = one(rep)[1]
     m = truth.shape[0]
     lines = [
-        f"# config {chash}",
         f"# truth {' '.join(f'{t:.6f}' for t in truth)} "
         f"(quadrature tol {oracle.achieved_tol:.2e})",
         "epsilon\tcoverage\t" + "\t".join(f"width_{i}" for i in range(m)),
@@ -279,17 +274,14 @@ def cmd_coverage(args) -> int:
         se = float(np.sqrt(max(cov * (1.0 - cov), 1e-12) / reps))
         se_notes.append(f"# binomial se of coverage at eps={eps:g}: {se:.4f}")
     lines.extend(se_notes)
-    text = "\n".join(lines) + "\n"
-    with open(settings["out"], "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
+    textio.write_text(settings["out"], lines, chash)
+    print(*textio.file_lines(lines, chash), sep="", end="")
     return 0
 
 
 # -------------------------------------------------------------- finite-verify
 
 _FV_KEYS = dict(chain="", random_ensemble=0, seed=0, t_max=5, out="")
-_FV_TYPES = dict(chain=str, random_ensemble=int, seed=int, t_max=int, out=str)
 
 
 def _verify_chain(chain, kernels, t_max):
@@ -317,7 +309,7 @@ def _verify_chain(chain, kernels, t_max):
 
 def cmd_finite_verify(args) -> int:
     settings = _resolve(args, _FV_KEYS)
-    lines = [f"# config {_config_hash(settings)}"]
+    lines = []
     all_ok = True
     if int(settings["random_ensemble"]) > 0:
         count = int(settings["random_ensemble"])
@@ -351,11 +343,10 @@ def cmd_finite_verify(args) -> int:
     else:
         print("finite-verify needs --chain FILE or --random-ensemble R", file=sys.stderr)
         return 2
-    text = "\n".join(lines) + "\n"
+    chash = _config_hash(settings)
     if settings["out"]:
-        with open(settings["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
-    print(text, end="")
+        textio.write_text(settings["out"], lines, chash)
+    print(*textio.file_lines(lines, chash), sep="", end="")
     return 0 if all_ok else 1
 
 
@@ -384,21 +375,19 @@ def _default_kernels(chain) -> spectral.WithinKernelSet:
 # ------------------------------------------------------------------- plotdata
 
 _PD_KEYS = dict(report="report.txt", out="plotdata.txt")
-_PD_TYPES = dict(report=str, out=str)
 
 
 def cmd_plotdata(args) -> int:
     settings = _resolve(args, _PD_KEYS)
     report = uq.load_report(settings["report"])
-    with open(settings["out"], "w", encoding="utf-8") as fh:
-        fh.write(f"# config {_config_hash(settings)}\n")
-        fh.write("index\tpoint\tnoisy_center\tlower\tupper\n")
-        for i in range(report.h_point.shape[0]):
-            center = report.h_point[i] + report.g_noise[i]
-            fh.write(
-                f"{i}\t{report.h_point[i]:.10g}\t{center:.10g}\t"
-                f"{report.intervals[i, 0]:.10g}\t{report.intervals[i, 1]:.10g}\n"
-            )
+    lines = ["index\tpoint\tnoisy_center\tlower\tupper"]
+    for i in range(report.h_point.shape[0]):
+        center = report.h_point[i] + report.g_noise[i]
+        lines.append(
+            f"{i}\t{report.h_point[i]:.10g}\t{center:.10g}\t"
+            f"{report.intervals[i, 0]:.10g}\t{report.intervals[i, 1]:.10g}"
+        )
+    textio.write_text(settings["out"], lines, _config_hash(settings))
     print(f"wrote {settings['out']} ({report.h_point.shape[0]} rows)")
     return 0
 
@@ -412,15 +401,15 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
-        ("simulate-ar", cmd_simulate_ar, _SIM_KEYS, _SIM_TYPES),
-        ("run", cmd_run, _RUN_KEYS, _RUN_TYPES),
-        ("coverage", cmd_coverage, _COV_KEYS, _COV_TYPES),
-        ("finite-verify", cmd_finite_verify, _FV_KEYS, _FV_TYPES),
-        ("plotdata", cmd_plotdata, _PD_KEYS, _PD_TYPES),
+        ("simulate-ar", cmd_simulate_ar, _SIM_KEYS),
+        ("run", cmd_run, _RUN_KEYS),
+        ("coverage", cmd_coverage, _COV_KEYS),
+        ("finite-verify", cmd_finite_verify, _FV_KEYS),
+        ("plotdata", cmd_plotdata, _PD_KEYS),
     ]
-    for name, handler, keys, types in specs:
+    for name, handler, keys in specs:
         p = sub.add_parser(name)
-        _add_keys(p, keys, types)
+        _add_keys(p, keys)
         p.set_defaults(handler=handler)
     args = parser.parse_args(argv)
     try:

@@ -41,6 +41,7 @@ _JITTER_REL = 1e-10  # max diagonal jitter, relative to trace
 _MIN_SHIFTS = 8
 
 _P_FLOOR = 2.0**-52  # keeps ndtri(p) finite when an estimate hits 0 or 1
+_MAX_ITER = 80  # regula falsi steps inside the bracket
 
 
 def _primes(count: int) -> np.ndarray:
@@ -255,7 +256,6 @@ def solve_rectangle_quantile(
     tol: float = 1e-3,
     n_points: int = 4096,
     seed: int = 0,
-    max_iter: int = 80,
 ) -> float:
     """Solve for xi with N_m(prod_i [-xi sqrt(v_i), xi sqrt(v_i)]; 0, cov) = 1 - alpha.
 
@@ -271,7 +271,7 @@ def solve_rectangle_quantile(
     Each step keeps the root bracketed, halves the stale endpoint's g when
     the same side is kept twice, and falls back to the midpoint when the
     interpolant leaves the bracket. It stops once |p - (1 - alpha)| <= tol,
-    the bracket is narrower than 1e-12, or after ``max_iter`` steps. The same
+    the bracket is narrower than 1e-12, or after 80 steps. The same
     QMC point set is reused at every xi, so the evaluated probability is
     monotone in xi.
     """
@@ -330,7 +330,7 @@ def solve_rectangle_quantile(
     g_lo, g_hi = g(res_lo.probability), g(res_hi.probability)
     kept = 0  # +1 after lo was kept, -1 after hi was kept
     xi = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         xi = hi - g_hi * (hi - lo) / (g_hi - g_lo) if g_hi > g_lo else np.nan
         if not lo < xi < hi:
             xi = 0.5 * (lo + hi)

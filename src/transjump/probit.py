@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import log_ndtr
 
-from . import rj
+from . import rj, textio
 from .errors import ParameterError, TraceParseError, require_finite
 from .rng import RngStream, sample_truncated_normal_onesided
 from .uq import Trace
@@ -282,41 +282,22 @@ def load_spambase(
 
     ``standardize`` (default on) centers every feature column and scales it
     to unit variance; the raw attribute scales differ by orders of
-    magnitude. Ragged rows or non-binary labels raise with the row number.
+    magnitude. Ragged rows, non-finite fields or non-binary labels raise with
+    the line number.
     """
-    rows = []
-    labels = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise TraceParseError("need at least one feature and a label", line=lineno)
-            if len(parts) != width:
-                raise TraceParseError(
-                    f"expected {width} comma-separated fields, found {len(parts)}",
-                    line=lineno,
-                )
-            try:
-                vals = [float(v) for v in parts]
-            except ValueError:
-                raise TraceParseError("non-numeric field", line=lineno)
-            if vals[-1] not in (0.0, 1.0):
-                raise TraceParseError(f"non-binary label {vals[-1]!r}", line=lineno)
-            if not all(map(math.isfinite, vals)):
-                col = next(j for j, v in enumerate(vals) if not math.isfinite(v))
-                raise TraceParseError(f"feature field {col + 1} must be finite", line=lineno)
-            rows.append(vals[:-1])
-            labels.append(int(vals[-1]))
-    if not rows:
+    _, records = textio.read_records(path)
+    if not records:
         raise TraceParseError("empty dataset file")
-    x = np.array(rows)
-    y = np.array(labels)
+    width = records[0][1].count(",") + 1
+    if width < 2:
+        raise TraceParseError("need at least one feature and a label", line=records[0][0])
+    rows = textio.table(records, width, "feature", ",")
+    labels = rows[:, -1]
+    bad = np.flatnonzero((labels != 0.0) & (labels != 1.0))
+    if bad.size:
+        raise TraceParseError(f"non-binary label {labels[bad[0]]:g}", line=records[bad[0]][0])
+    y = labels.astype(int)
+    x = rows[:, :-1].copy()
     if standardize:
         mean = x.mean(axis=0)
         sd = x.std(axis=0)

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NumericError, ParameterError, StructureError, TraceParseError
+from . import textio
+from .errors import NumericError, ParameterError, StructureError, TraceParseError, require_finite
 from .rng import RngStream
 
 __all__ = [
@@ -60,6 +61,8 @@ class FiniteTransChain:
         self.transition = np.asarray(self.transition, dtype=float)
         self.model_of = np.asarray(self.model_of, dtype=int)
         self.stationary = np.asarray(self.stationary, dtype=float)
+        require_finite("transition", self.transition)
+        require_finite("stationary", self.stationary)
         n = self.transition.shape[0]
         if self.transition.shape != (n, n):
             raise ParameterError("transition matrix must be square")
@@ -254,7 +257,7 @@ def build_model_jump_matrix(chain: FiniteTransChain) -> np.ndarray:
     return M
 
 
-def lambda1(m_p: np.ndarray, model_masses: np.ndarray | None = None) -> float:
+def lambda1(m_p: np.ndarray, model_masses: np.ndarray) -> float:
     """Second largest eigenvalue of the model-jump matrix.
 
     Eigenvalues are computed on the symmetrized form diag(w)^{1/2} M
@@ -265,8 +268,6 @@ def lambda1(m_p: np.ndarray, model_masses: np.ndarray | None = None) -> float:
     m = M.shape[0]
     if m == 1:
         return 0.0
-    if model_masses is None:
-        model_masses = _reversible_masses(M)
     w = np.asarray(model_masses, dtype=float)
     root = np.sqrt(w)
     S = (root[:, None] * M) / root[None, :]
@@ -278,20 +279,6 @@ def lambda1(m_p: np.ndarray, model_masses: np.ndarray | None = None) -> float:
         )
     lam = float(vals[-2])
     return min(max(lam, 0.0), 1.0)
-
-
-def _reversible_masses(M: np.ndarray) -> np.ndarray:
-    """Positive weights making M symmetrizable, one closed class at a time."""
-    m = M.shape[0]
-    ncomp, labels = connected_components(csr_matrix(M > 1e-15), connection="strong")
-    w = np.zeros(m)
-    for c in range(ncomp):
-        idx = np.flatnonzero(labels == c)
-        sub = M[np.ix_(idx, idx)]
-        # reversible chains have closed classes, so sub is stochastic
-        sub = sub / sub.sum(axis=1, keepdims=True)
-        w[idx] = stationary_distribution(sub) if idx.size > 1 else 1.0
-    return w / w.sum()
 
 
 def _validate_kernels(chain: FiniteTransChain, kernels: WithinKernelSet):
@@ -481,59 +468,37 @@ def _random_reversible_kernel(gen, phi: np.ndarray) -> np.ndarray:
 
 def read_chain_file(path) -> FiniteTransChain:
     """Parse the plain-text chain format: 'n m', n probability rows, model indices."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
-    if not lines:
+    _, records = textio.read_records(path)
+    if not records:
         raise TraceParseError("empty chain file")
-    lineno, header = lines[0]
+    lineno, header = records[0]
     parts = header.split()
     if len(parts) != 2:
         raise TraceParseError("expected header 'n m'", line=lineno)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise TraceParseError("header entries must be integers", line=lineno)
-    if len(lines) != n + 2:
+    n, m = textio.counts(parts, lineno, "header count")
+    if len(records) != n + 2:
         raise TraceParseError(
             f"expected {n} matrix rows plus one model line after the header"
         )
-    P = np.zeros((n, n))
-    for i in range(n):
-        lineno, row = lines[1 + i]
-        vals = row.split()
-        if len(vals) != n:
-            raise TraceParseError(f"expected {n} probabilities", line=lineno)
-        try:
-            P[i] = [float(v) for v in vals]
-        except ValueError:
-            raise TraceParseError("non-numeric probability", line=lineno)
-    lineno, row = lines[n + 1]
-    vals = row.split()
-    if len(vals) != n:
+    P = textio.table(records[1 : n + 1], n, "probability")
+    lineno, row = records[n + 1]
+    model_of = np.array(textio.counts(row.split(), lineno, "model index"), dtype=int)
+    if model_of.shape != (n,):
         raise TraceParseError(f"expected {n} model indices", line=lineno)
-    try:
-        model_of = np.array([int(v) for v in vals])
-    except ValueError:
-        raise TraceParseError("non-integer model index", line=lineno)
-    if model_of.min() < 0 or model_of.max() + 1 != m:
+    if model_of.max() + 1 != m:
         raise TraceParseError(
             f"model indices must cover 0..{m - 1} per the header", line=lineno
         )
-    if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-10):
-        bad = int(np.argmax(np.abs(P.sum(axis=1) - 1.0)))
-        raise TraceParseError(f"row {bad} does not sum to 1", line=bad + 2)
+    bad = np.flatnonzero(np.abs(P.sum(axis=1) - 1.0) > 1e-10)
+    if bad.size:
+        raise TraceParseError(f"row {bad[0]} does not sum to 1", line=records[1 + bad[0]][0])
     try:
         return FiniteTransChain.from_transition(P, model_of)
     except (ParameterError, StructureError) as exc:
         raise TraceParseError(str(exc))
 
 
-def write_chain_file(chain: FiniteTransChain, path, header_comment: str | None = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(f"{chain.n_states} {chain.n_models}\n")
-        for row in chain.transition:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        fh.write(" ".join(str(int(k)) for k in chain.model_of) + "\n")
+def write_chain_file(chain: FiniteTransChain, path):
+    lines = [f"{chain.n_states} {chain.n_models}", *map(textio.row, chain.transition),
+             " ".join(map(str, chain.model_of.tolist()))]
+    textio.write_text(path, lines)

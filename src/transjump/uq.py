@@ -7,15 +7,18 @@ half-width multiplier solves a multivariate normal rectangle equation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import textio
 from .errors import (
     NumericError,
     ParameterError,
     SingularCovarianceError,
     TraceParseError,
+    require_finite,
 )
 from .mvnprob import solve_rectangle_quantile
 from .rng import RngStream, cholesky_lower, std_normal_quantile
@@ -59,8 +62,7 @@ class Trace:
         self.f_values = np.atleast_2d(np.asarray(self.f_values, dtype=float))
         if self.f_values.shape[0] < 1 or self.f_values.shape[1] < 1:
             raise ParameterError("trace requires n >= 1 rows and d >= 1 columns")
-        if not np.all(np.isfinite(self.f_values)):
-            raise ParameterError("trace contains non-finite values")
+        require_finite("trace", self.f_values)
 
     @property
     def n(self) -> int:
@@ -108,6 +110,8 @@ class SimCIReport:
             raise ParameterError("intervals must be an (m, 2) array")
         if np.any(self.intervals[:, 0] > self.intervals[:, 1]):
             raise ParameterError("interval lower bounds exceed upper bounds")
+        if not np.all(self.v_diag > 0):
+            raise ParameterError("variance diagonal v_diag must be positive")
         lo_q = float(std_normal_quantile(1.0 - self.alpha / 2.0))
         hi_q = float(std_normal_quantile(1.0 - self.alpha / (2.0 * m)))
         if not lo_q - 1e-12 <= self.xi <= hi_q + 1e-12:
@@ -304,8 +308,6 @@ def simultaneous_cis(
     rng: RngStream,
     v_star: np.ndarray | None = None,
     v: float = 0.6,
-    xi_tol: float = 1e-3,
-    qmc_points: int = 4096,
 ) -> SimCIReport:
     """Simultaneous confidence intervals for H(Pi f) at joint level 1 - alpha.
 
@@ -335,14 +337,8 @@ def simultaneous_cis(
                 "inject noise (epsilon > 0) to obtain valid simultaneous intervals"
             )
     v_diag = np.diag(v_tot).copy()
-    xi = solve_rectangle_quantile(
-        alpha,
-        v_diag,
-        v_tot,
-        tol=xi_tol,
-        n_points=qmc_points,
-        seed=int(trace.meta.get("seed", 0)) + 7_919,
-    )
+    seed = int(trace.meta.get("seed", 0)) + 7_919
+    xi = solve_rectangle_quantile(alpha, v_diag, v_tot, seed=seed)
     g = inject_noise(m, epsilon, v_star, n, rng)
     center = h_point + g
     half = xi * np.sqrt(v_diag / n)
@@ -363,109 +359,78 @@ def save_trace(trace: Trace, path):
     """Persist a trace: header 'n d sampler_id seed', then tab-separated rows."""
     sampler = str(trace.meta.get("sampler_id", "unknown")).replace(" ", "_")
     seed = int(trace.meta.get("seed", 0))
-    with open(path, "w", encoding="utf-8") as fh:
-        if "config_hash" in trace.meta:
-            fh.write(f"# config {trace.meta['config_hash']}\n")
-        fh.write(f"{trace.n} {trace.d} {sampler} {seed}\n")
-        for row in trace.f_values:
-            fh.write("\t".join(f"{x:.17g}" for x in row) + "\n")
+    lines = itertools.chain(
+        [f"{trace.n} {trace.d} {sampler} {seed}"],
+        (textio.row(r, "\t") for r in trace.f_values),
+    )
+    textio.write_text(path, lines, trace.meta.get("config_hash"))
 
 
 def load_trace(path) -> Trace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    meta = {}
-    body = []
-    for i, ln in enumerate(lines):
-        if ln.startswith("#"):
-            parts = ln[1:].split()
-            if len(parts) == 2 and parts[0] == "config":
-                meta["config_hash"] = parts[1]
-            continue
-        if ln.strip():
-            body.append((i + 1, ln))
-    if not body:
+    config, records = textio.read_records(path)
+    if not records:
         raise TraceParseError("empty trace file")
-    lineno, header = body[0]
+    lineno, header = records[0]
     parts = header.split()
     if len(parts) != 4:
         raise TraceParseError("expected header 'n d sampler_id seed'", line=lineno)
-    try:
-        n, d = int(parts[0]), int(parts[1])
-        meta["sampler_id"] = parts[2]
-        meta["seed"] = int(parts[3])
-    except ValueError:
-        raise TraceParseError("malformed header", line=lineno)
-    if len(body) != n + 1:
-        raise TraceParseError(f"expected {n} rows, found {len(body) - 1}")
-    rows = np.zeros((n, d))
-    for r, (lineno, ln) in enumerate(body[1:]):
-        vals = ln.split("\t")
-        if len(vals) != d:
-            raise TraceParseError(f"expected {d} values", line=lineno)
-        try:
-            rows[r] = [float(v) for v in vals]
-        except ValueError:
-            raise TraceParseError("non-numeric trace value", line=lineno)
-    return Trace(f_values=rows, meta=meta)
+    n, d = textio.counts(parts[:2], lineno, "header count")
+    (seed,) = textio.counts(parts[3:], lineno, "seed")
+    if len(records) != n + 1:
+        raise TraceParseError(f"expected {n} rows, found {len(records) - 1}")
+    meta = {"sampler_id": parts[2], "seed": seed}
+    if config is not None:
+        meta["config_hash"] = config
+    return Trace(f_values=textio.table(records[1:], d, "trace value", "\t"), meta=meta)
 
 
 def load_report(path) -> SimCIReport:
     """Read a report written by :func:`save_report`."""
+    _, records = textio.read_records(path)
+    head = next((i for i, (_, ln) in enumerate(records) if ln.startswith("index\t")),
+                len(records))
     keys = {}
-    table = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    in_table = False
-    for lineno, ln in enumerate(lines, start=1):
-        if ln.startswith("#") or not ln.strip():
-            continue
+    for lineno, ln in records[:head]:
         parts = ln.split("\t")
-        if not in_table:
-            if parts[0] == "index":
-                in_table = True
-                continue
-            if len(parts) != 2:
-                raise TraceParseError("expected 'key<TAB>value'", line=lineno)
-            keys[parts[0]] = parts[1]
-        else:
-            if len(parts) != 6:
-                raise TraceParseError("expected 6 table columns", line=lineno)
-            table.append([float(v) for v in parts])
+        if len(parts) != 2:
+            raise TraceParseError("expected 'key<TAB>value'", line=lineno)
+        keys[parts[0]] = lineno, parts[1]
     for req in ("alpha", "epsilon", "n", "m", "xi"):
         if req not in keys:
             raise TraceParseError(f"missing key {req!r}")
-    if len(table) != int(keys["m"]):
-        raise TraceParseError(f"expected {keys['m']} table rows, found {len(table)}")
-    tbl = np.array(table)
+    alpha, epsilon, xi = (textio.floats([keys[k][1]], keys[k][0], k)[0]
+                          for k in ("alpha", "epsilon", "xi"))
+    n, m = (textio.counts([keys[k][1]], keys[k][0], k)[0] for k in ("n", "m"))
+    if m == 0:
+        raise TraceParseError("a report needs m >= 1 quantities", line=keys["m"][0])
+    tbl = textio.table(records[head + 1:], 6, "table value", "\t")
+    if tbl.shape[0] != m:
+        raise TraceParseError(f"expected {m} table rows, found {tbl.shape[0]}")
     return SimCIReport(
         h_point=tbl[:, 1],
         g_noise=tbl[:, 2] - tbl[:, 1],
         v_diag=tbl[:, 5],
-        xi=float(keys["xi"]),
+        xi=xi,
         intervals=tbl[:, 3:5],
-        alpha=float(keys["alpha"]),
-        epsilon=float(keys["epsilon"]),
-        n=int(keys["n"]),
+        alpha=alpha,
+        epsilon=epsilon,
+        n=n,
     )
 
 
 def save_report(report: SimCIReport, path, config_hash: str | None = None):
     """Flat key-value block followed by the per-quantity interval table."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if config_hash:
-            fh.write(f"# config {config_hash}\n")
-        fh.write(f"alpha\t{report.alpha:.17g}\n")
-        fh.write(f"epsilon\t{report.epsilon:.17g}\n")
-        fh.write(f"n\t{report.n}\n")
-        fh.write(f"m\t{report.h_point.shape[0]}\n")
-        fh.write(f"xi\t{report.xi:.17g}\n")
-        fh.write("\n")
-        fh.write("index\tpoint\tnoisy_center\tlower\tupper\tv_diag\n")
-        for i in range(report.h_point.shape[0]):
-            center = report.h_point[i] + report.g_noise[i]
-            fh.write(
-                f"{i}\t{report.h_point[i]:.17g}\t{center:.17g}\t"
-                f"{report.intervals[i, 0]:.17g}\t{report.intervals[i, 1]:.17g}\t"
-                f"{report.v_diag[i]:.17g}\n"
-            )
+    full = textio.full
+    lines = [
+        f"alpha\t{full(report.alpha)}",
+        f"epsilon\t{full(report.epsilon)}",
+        f"n\t{report.n}",
+        f"m\t{report.h_point.shape[0]}",
+        f"xi\t{full(report.xi)}",
+        "",
+        "index\tpoint\tnoisy_center\tlower\tupper\tv_diag",
+    ]
+    table = np.column_stack([report.h_point, report.h_point + report.g_noise,
+                             report.intervals, report.v_diag])
+    lines.extend(f"{i}\t" + textio.row(r, "\t") for i, r in enumerate(table))
+    textio.write_text(path, lines, config_hash)

@@ -453,6 +453,8 @@ class TestDatasetIO:
         assert np.array_equal(back.x, toy_ar_data.x)
         assert np.array_equal(back.y_start, toy_ar_data.y_start)
         assert np.array_equal(back.f_k, toy_ar_data.f_k)
+        save_ar_dataset(back, tmp_path / "again.txt", config_hash="beef")
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize(
         "row, col", [(0, 3), (1, 0), (2, 0), (3, 1), (7, 1)],
@@ -505,3 +507,5 @@ class TestDatasetIO:
         save_ar_dataset(data, path)
         back = load_ar_dataset(path)
         assert back.k_max == 0 and np.array_equal(back.y, data.y)
+        save_ar_dataset(back, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import transjump
+from transjump.ar_laplace import ARSimConfig, load_ar_dataset, simulate_ar_dataset
 from transjump.cli import _check_stream_layout, main
 from transjump.rng import RngStream
 from transjump.spectral import random_decomposed_chain, write_chain_file
@@ -37,6 +38,23 @@ class TestSimulateAr:
             "--out", str(tmp_path / "x.txt"),
         ])
         assert rc != 0
+
+    def test_falsy_overrides_apply(self, tmp_path):
+        out = tmp_path / "k0.txt"
+        rc = main(["simulate-ar", "--preset", "toy", "--seed", "2024", "--k-true", "0",
+                   "--alpha", "", "--out", str(out)])
+        assert rc == 0
+        cfg = ARSimConfig(n_obs=5, p=1, k_max=1, k_true=0, alpha_true=np.zeros(0),
+                          beta_true=np.array([1.0]), tau_true=0.3, sigma=1.0)
+        expected = simulate_ar_dataset(cfg, RngStream(2024))
+        assert np.array_equal(load_ar_dataset(out).y, expected.y)
+
+    @pytest.mark.parametrize("flag", ["--tau", "--k-max"])
+    def test_zero_override_rejected(self, tmp_path, capsys, flag):
+        rc = main(["simulate-ar", "--preset", "toy", flag, "0", "--out", str(tmp_path / "x.txt")])
+        assert rc == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
 
 
 class TestRun:
@@ -236,6 +254,12 @@ class TestFiniteVerify:
         rc = main(["finite-verify", "--chain", str(path)])
         assert rc != 0
 
+    def test_nan_chain_entry(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 2\n0.5 0.25 0.25\n0.25 nan 0.25\n0.25 0.25 0.5\n0 0 1\n")
+        assert main(["finite-verify", "--chain", str(path)]) == 1
+        assert "error: line 3: probability field 2 must be finite" in capsys.readouterr().err
+
 
 class TestPlotdata:
     def test_ar_model_report_row_count(self, tmp_path):
@@ -252,6 +276,16 @@ class TestPlotdata:
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert rows[0].split("\t") == ["index", "point", "noisy_center", "lower", "upper"]
         assert len(rows) == 1 + 11  # k = 0..10
+
+    def test_malformed_report(self, tmp_path, capsys):
+        report = tmp_path / "r.txt"
+        report.write_text("alpha\t0.05\nepsilon\t0.1\nn\t100\nm\t1\nxi\t1.96\n\n"
+                          "index\tpoint\tnoisy_center\tlower\tupper\tv_diag\n"
+                          "0\t0.5\t0.5\toops\t0.6\t1\n")
+        out = tmp_path / "pd.txt"
+        assert main(["plotdata", "--report", str(report), "--out", str(out)]) == 1
+        assert "error: line 8: non-numeric table value in field 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_report(self, tmp_path):
         with pytest.raises(FileNotFoundError):

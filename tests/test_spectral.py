@@ -250,10 +250,12 @@ class TestChainFile:
     def test_round_trip(self, tmp_path):
         chain, _ = random_decomposed_chain(RngStream(53, 0))
         path = tmp_path / "chain.txt"
-        write_chain_file(chain, path, header_comment="test")
+        write_chain_file(chain, path)
         loaded = read_chain_file(path)
         assert np.abs(loaded.transition - chain.transition).max() < 1e-15
         assert np.array_equal(loaded.model_of, chain.model_of)
+        write_chain_file(loaded, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
     def test_bad_row_sum(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -266,6 +268,23 @@ class TestChainFile:
         path.write_text("two models\n")
         with pytest.raises(TraceParseError, match="line 1"):
             read_chain_file(path)
+
+
+@pytest.mark.parametrize("which", ["transition", "stationary"])
+def test_chain_validation_rejects_non_finite(which):
+    P = np.full((3, 3), 1.0 / 3.0)
+    parts = {"transition": P, "stationary": np.full(3, 1.0 / 3.0)}
+    parts[which] = parts[which].copy()
+    parts[which].flat[1] = np.nan
+    with pytest.raises(ParameterError, match=f"^{which} must be finite; (row 0, column|entry) 1"):
+        FiniteTransChain(model_of=np.array([0, 0, 1]), **parts)
+
+
+def test_from_transition_rejects_non_finite():
+    P = np.full((3, 3), 1.0 / 3.0)
+    P[0, 1] = np.nan
+    with pytest.raises(ParameterError, match="^transition must be finite; row 0, column 1"):
+        FiniteTransChain.from_transition(P, np.array([0, 0, 1]))
 
 
 def test_chain_validation_rejects_bad_stationary():

@@ -260,12 +260,15 @@ class TestSimultaneousCIs:
 class TestPersistence:
     def test_trace_round_trip(self, tmp_path):
         gen = RngStream(10).gen
-        tr = Trace(gen.standard_normal((50, 3)), meta={"sampler_id": "test", "seed": 42})
+        tr = Trace(gen.standard_normal((50, 3)),
+                   meta={"sampler_id": "test", "seed": 42, "config_hash": "f00d"})
         path = tmp_path / "trace.txt"
         save_trace(tr, path)
         back = load_trace(path)
         assert np.array_equal(tr.f_values, back.f_values)
-        assert back.meta["sampler_id"] == "test" and back.meta["seed"] == 42
+        assert back.meta == tr.meta
+        save_trace(back, tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
     def test_report_round_trip(self, tmp_path):
         gen = RngStream(11).gen
@@ -277,6 +280,23 @@ class TestPersistence:
         assert abs(back.xi - rep.xi) < 1e-15
         assert np.abs(back.intervals - rep.intervals).max() < 1e-12
         assert back.alpha == rep.alpha and back.n == rep.n
+        save_report(back, tmp_path / "again.txt", config_hash="cafe")
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+    def test_non_positive_variance_rejected(self, tmp_path):
+        # the other row is consistent, so only the variance of row 0 is at fault
+        path = tmp_path / "report.txt"
+        path.write_text("alpha\t0.05\nepsilon\t0.1\nn\t100\nm\t2\nxi\t2.1\n\n"
+                        "index\tpoint\tnoisy_center\tlower\tupper\tv_diag\n"
+                        "0\t0.5\t0.5\t0.4\t0.6\t-1\n1\t0.5\t0.5\t0.29\t0.71\t1\n")
+        with pytest.raises(ParameterError, match="v_diag must be positive"):
+            load_report(path)
+
+    def test_report_without_quantities_rejected(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("alpha\t0.05\nepsilon\t0.1\nn\t100\nm\t0\nxi\t2.1\n")
+        with pytest.raises(TraceParseError, match="^line 4: a report needs m >= 1"):
+            load_report(path)
 
     def test_truncated_trace_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
