@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import rj, textio
 from .errors import GenerationError, NumericError, ParameterError, TraceParseError, require_finite
-from .rng import RngStream, _ig_draws
+from .rng import RngStream, _ig_draws, precision_noise, precision_solve
 from .uq import Trace
 
 __all__ = [
@@ -110,7 +109,14 @@ class ARData:
 
 
 def check_p1(data: ARData):
-    """Full column rank of every W(k), with y outside its column space."""
+    """Full column rank of every W(k), with y outside its column space.
+
+    Each W(k) and [W(k), y] is a column subset of [W(k_max), y], so one rank
+    test decides every order; the loop runs only to name the failing order.
+    """
+    full = np.column_stack([data._design_full, data.y])
+    if np.linalg.matrix_rank(full) == full.shape[1]:
+        return
     for k in range(data.k_max + 1):
         W = data._design_full[:, : data.p + k]
         cols = W.shape[1]
@@ -275,15 +281,12 @@ def gibbs_update(data: ARData, state: ARState, rng: RngStream) -> ARState:
     else:
         wq = W.T * u
         M = wq @ W
-        M[np.arange(d), np.arange(d)] += prior_prec
-        L = np.linalg.cholesky(M)
+        M.flat[:: d + 1] += prior_prec
         wqy = wq @ data.y
-        half = np.linalg.solve(L, wqy)
-        mean = np.linalg.solve(L.T, half)
+        L, mean = precision_solve(M, wqy)
         scale = 0.5 * max(yqy - float(wqy @ mean), 1e-300)
         tau = 1.0 / rng.gen.gamma(0.5 * n, 1.0 / scale)
-        z = rng.gen.standard_normal(d)
-        dev = np.linalg.solve(L.T, z)
+        dev = precision_noise(L, rng.gen.standard_normal(d))
         theta_new = mean + math.sqrt(tau) * dev
     return ARState(k=k, alpha=theta_new[p:], beta=theta_new[:p], tau=float(tau), u=u)
 
@@ -509,6 +512,9 @@ def _posterior_box(neg_log_f, x0) -> _MassRegion:
     least 35 below the peak. Wide tails are fine: downstream quadrature
     grades its panels away from the mode.
     """
+    # imported here: scipy.optimize slows every CLI start, and only the toy oracle uses it
+    from scipy.optimize import minimize
+
     res = minimize(
         neg_log_f, x0, method="Nelder-Mead",
         options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000},

@@ -17,7 +17,7 @@ from scipy.special import log_ndtr
 
 from . import rj, textio
 from .errors import ParameterError, TraceParseError, require_finite
-from .rng import RngStream, sample_truncated_normal_onesided
+from .rng import RngStream, precision_noise, precision_solve, sample_truncated_normal_onesided
 from .uq import Trace
 
 __all__ = [
@@ -135,12 +135,10 @@ def da_update(data: ProbitData, state: ProbitState, rng: RngStream) -> ProbitSta
     mu = x_k @ state.z
     u = sample_truncated_normal_onesided(mu, 1.0, data._positive, rng)
     d = cols.shape[0]
-    M = data._gram[np.ix_(cols, cols)].copy()
-    M[np.arange(d), np.arange(d)] += 1.0 / data.sigma**2
-    L = np.linalg.cholesky(M)
-    b = x_k.T @ u
-    mean = np.linalg.solve(L.T, np.linalg.solve(L, b))
-    z_new = mean + np.linalg.solve(L.T, rng.gen.standard_normal(d))
+    M = data._gram[np.ix_(cols, cols)]  # fancy indexing copies
+    M.flat[:: d + 1] += 1.0 / data.sigma**2
+    L, mean = precision_solve(M, x_k.T @ u)
+    z_new = mean + precision_noise(L, rng.gen.standard_normal(d))
     return ProbitState(k=state.k, z=z_new)
 
 

@@ -21,6 +21,8 @@ __all__ = [
     "sample_inverse_gamma",
     "std_normal_quantile",
     "cholesky_lower",
+    "precision_solve",
+    "precision_noise",
 ]
 
 # Beyond this many standard deviations from the mean, inverse-CDF sampling of a
@@ -61,6 +63,22 @@ def cholesky_lower(cov: np.ndarray) -> np.ndarray:
     if info < 0:
         raise NumericError(f"cholesky: illegal argument {-info}")
     return c
+
+
+def precision_solve(prec: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor a precision matrix M = L L' once and solve M x = b; returns (L, x).
+
+    A matrix that is not positive definite raises as in ``cholesky_lower``.
+    """
+    L = cholesky_lower(prec)
+    x, _ = lapack.dpotrs(L, b, lower=1)
+    return L, x
+
+
+def precision_noise(L: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """L'^{-1} z: a N(0, M^{-1}) deviate from standard normals z, where M = L L'."""
+    x, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
+    return x
 
 
 def sample_inverse_gaussian(mu, lam, rng: RngStream):

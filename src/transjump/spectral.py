@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import textio
 from .errors import NumericError, ParameterError, StructureError, TraceParseError, require_finite
@@ -153,6 +151,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     n = P.shape[0]
     if P.shape != (n, n):
         raise ParameterError("transition matrix must be square")
+    # imported here: scipy.sparse slows every CLI start, and only this check uses it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     ncomp, labels = connected_components(csr_matrix(P > 0), connection="strong")
     if ncomp > 1:
         strata = [np.flatnonzero(labels == c).tolist() for c in range(ncomp)]

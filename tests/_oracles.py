@@ -300,3 +300,61 @@ def probit_mode_reference(data, k_new, z_partial, j: int) -> tuple[float, float]
         b = bisect()
     grad, curv = derivs(b)
     return float(b), float(-1.0 / curv)
+
+
+def ar_gibbs_reference(data, state, rng):
+    """The d = p + k > 2 sweep of ``ar_laplace.gibbs_update`` as first written.
+
+    Its linear algebra is verbatim: ``np.linalg.cholesky`` and one
+    ``np.linalg.solve`` per triangular system. The auxiliary scales come from
+    the same ``rng._ig_draws``, because only the Gaussian step is under test.
+    Returns (u, tau, theta) with theta = (beta, alpha).
+    """
+    from transjump.rng import _ig_draws
+
+    n, p, k = data.n_obs, data.p, state.k
+    d = p + k
+    W = ar_design(data, k)
+    theta = np.concatenate([state.beta, state.alpha])
+    r = data.y - W @ theta
+    abs_r = np.maximum(np.abs(r), 1e-300)
+    mu = math.sqrt(state.tau) / (2.0 * abs_r)
+    u = _ig_draws(mu, 0.25, rng.gen)
+
+    prior_prec = 1.0 / data.sigma**2
+    uy = u * data.y
+    yqy = float(data.y @ uy)
+    wq = W.T * u
+    M = wq @ W
+    M[np.arange(d), np.arange(d)] += prior_prec
+    L = np.linalg.cholesky(M)
+    wqy = wq @ data.y
+    half = np.linalg.solve(L, wqy)
+    mean = np.linalg.solve(L.T, half)
+    scale = 0.5 * max(yqy - float(wqy @ mean), 1e-300)
+    tau = 1.0 / rng.gen.gamma(0.5 * n, 1.0 / scale)
+    z = rng.gen.standard_normal(d)
+    dev = np.linalg.solve(L.T, z)
+    theta_new = mean + math.sqrt(tau) * dev
+    return u, float(tau), theta_new
+
+
+def probit_da_reference(data, k, z, rng):
+    """``probit.da_update`` as first written, with its ``np.linalg`` solves verbatim.
+
+    The latent draw uses the same ``rng.sample_truncated_normal_onesided``,
+    because only the Gaussian step is under test. Returns the new block z.
+    """
+    from transjump.rng import sample_truncated_normal_onesided
+
+    cols = np.concatenate([[0], np.flatnonzero(k) + 1])
+    x_k = data._x_full[:, cols]
+    mu = x_k @ z
+    u = sample_truncated_normal_onesided(mu, 1.0, data.y == 1, rng)
+    d = cols.shape[0]
+    M = data._gram[np.ix_(cols, cols)].copy()
+    M[np.arange(d), np.arange(d)] += 1.0 / data.sigma**2
+    L = np.linalg.cholesky(M)
+    b = x_k.T @ u
+    mean = np.linalg.solve(L.T, np.linalg.solve(L, b))
+    return mean + np.linalg.solve(L.T, rng.gen.standard_normal(d))

@@ -27,7 +27,12 @@ from transjump import ar_laplace
 from transjump.errors import GenerationError, ParameterError, TraceParseError
 from transjump.rng import RngStream
 
-from _oracles import ar_design, gaussian_conditional_1d, sinh_panel_gauss_legendre
+from _oracles import (
+    ar_design,
+    ar_gibbs_reference,
+    gaussian_conditional_1d,
+    sinh_panel_gauss_legendre,
+)
 
 
 def small_data():
@@ -39,6 +44,23 @@ def small_data():
         sigma=1.0,
         f_k=np.array([0.5, 0.5]),
     )
+
+
+@pytest.fixture(scope="module")
+def scenario2_data():
+    # the settings of `simulate-ar --preset scenario2`
+    cfg = ARSimConfig(
+        n_obs=100, p=50, k_max=10, k_true=4,
+        alpha_true=np.array([0.3, 0.05, 0.05, 0.05]),
+        beta_true=RngStream(7, 999).gen.standard_normal(50),
+        tau_true=1.0, prior="poisson", poisson_mean=2.0,
+    )
+    return simulate_ar_dataset(cfg, RngStream(7))
+
+
+def _lag_data(y, x, y_start, k_max):
+    return ARData(y=y, x=x, y_start=y_start, k_max=k_max, sigma=1.0,
+                  f_k=np.full(k_max + 1, 1.0 / (k_max + 1)))
 
 
 class TestDesign:
@@ -62,6 +84,39 @@ class TestDesign:
                 y=np.array([1.0, 2.0]), x=np.array([[1.0], [0.5]]),
                 y_start=np.array([3.0]), k_max=1, sigma=1.0, f_k=np.array([0.5, 0.5]),
             )
+
+
+    def test_p1_one_rank_test_when_valid(self, scenario2_data, monkeypatch):
+        calls = [0]
+        original = np.linalg.matrix_rank
+
+        def counting(a, *args, **kwargs):
+            calls[0] += 1
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+        ar_laplace.check_p1(scenario2_data)
+        assert calls[0] == 1
+
+    def test_p1_names_interior_rank_deficient_order(self):
+        # x_t = y_{t-1}: W(1) repeats its first column, W(0) and [W(0), y] are fine
+        gen = np.random.default_rng(31)
+        series = gen.standard_normal(13)  # y_{-2}, ..., y_9
+        y = series[3:]
+        with pytest.raises(ParameterError, match=r"^W\(1\) is column-rank deficient$"):
+            _lag_data(y, series[2:-1, None], series[:3], k_max=3)
+
+    def test_p1_names_order_whose_span_holds_y(self):
+        # y_t = x_t + 0.5 y_{t-1} exactly: y is in the span of W(1), not of W(0)
+        gen = np.random.default_rng(32)
+        x = gen.standard_normal(10)
+        y_start = gen.standard_normal(3)
+        y = np.zeros(10)
+        prev = y_start[-1]
+        for t in range(10):
+            y[t] = prev = x[t] + 0.5 * prev
+        with pytest.raises(ParameterError, match=r"^y lies in the column space of W\(1\)$"):
+            _lag_data(y, x[:, None], y_start, k_max=3)
 
 
 class TestLogPosterior:
@@ -305,6 +360,32 @@ class TestGibbs:
         draws = draws[5000:]
         assert abs(draws.mean() - toy_oracle.a_mean) < 0.02
         assert abs(draws.std() - toy_oracle.a_sd) < 0.02
+
+
+    @pytest.mark.parametrize("k", [0, 3, 10])
+    def test_cholesky_sweep_matches_np_linalg_form(self, scenario2_data, k):
+        _check_gibbs_against_reference(scenario2_data, k)
+
+    def test_cholesky_sweep_matches_np_linalg_form_small_p(self):
+        cfg = ARSimConfig(n_obs=30, p=1, k_max=2, k_true=2, alpha_true=np.array([0.4, -0.2]),
+                          beta_true=np.array([1.0]), tau_true=0.5)
+        _check_gibbs_against_reference(simulate_ar_dataset(cfg, RngStream(8)), 2)
+
+
+def _check_gibbs_against_reference(data, k):
+    """Same stream, same draws: u is bitwise equal, tau and theta equal to rounding."""
+    gen = np.random.default_rng(k)
+    fit, *_ = np.linalg.lstsq(ar_design(data, k), data.y, rcond=None)
+    for rep in range(3):
+        theta0 = fit + 0.05 * gen.standard_normal(fit.shape[0])
+        state = ARState(k=k, alpha=theta0[data.p:], beta=theta0[: data.p],
+                        tau=float(gen.uniform(0.5, 2.0)), u=np.ones(data.n_obs))
+        got = gibbs_update(data, state, RngStream(90, rep))
+        u, tau, theta = ar_gibbs_reference(data, state, RngStream(90, rep))
+        assert np.array_equal(got.u, u)
+        assert abs(got.tau - tau) <= 1e-11 * tau
+        got_theta = np.concatenate([got.beta, got.alpha])
+        assert np.abs(got_theta - theta).max() <= 1e-11 * np.abs(theta).max()
 
 
 class TestSimulate:

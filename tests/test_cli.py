@@ -20,6 +20,23 @@ def toy_dataset(tmp_path):
     return out
 
 
+def _src_env():
+    src_dir = os.path.dirname(os.path.dirname(transjump.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.optimize and scipy.sparse are imported by the functions that use them
+    code = ("import sys, transjump.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestSimulateAr:
     def test_toy_preset(self, toy_dataset, capsys):
         text = toy_dataset.read_text()
@@ -201,12 +218,9 @@ class TestCoverageWorkers:
         script = tmp_path / "spawn_main.py"
         script.write_text(_SPAWN_MAIN)
         pooled = tmp_path / "pooled.txt"
-        src_dir = os.path.dirname(os.path.dirname(transjump.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, str(script)] + args + ["--workers", "2", "--out", str(pooled)],
-            env=env, capture_output=True, text=True, timeout=300,
+            env=_src_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         # the worker count is not part of the config hash: every byte matches

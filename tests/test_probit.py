@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import mpmath
 
 from transjump import probit
-from transjump.errors import ParameterError, TraceParseError
+from transjump.errors import NumericError, ParameterError, TraceParseError
 from transjump.probit import (
     ProbitData,
     ProbitState,
@@ -123,6 +124,22 @@ class TestDaUpdate:
         out = da_update(probit_small, state, RngStream(4))
         assert np.array_equal(out.k, state.k)
         assert out.z.shape == (3,)
+
+    @pytest.mark.parametrize("name", ["probit_small", "spam_like"])
+    def test_matches_np_linalg_form(self, name, request):
+        # same stream, same draws: only the rounding of the Gaussian step differs
+        data = request.getfixturevalue(name)
+        for t, (k, z_partial, _) in enumerate(_random_jumps(data, 44, 12)):
+            z = np.append(0.2, z_partial)
+            got = da_update(data, ProbitState(k=k, z=z), RngStream(45, t)).z
+            ref = _oracles.probit_da_reference(data, k, z, RngStream(45, t))
+            assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_non_positive_definite_precision_named(self, probit_small):
+        data = copy.copy(probit_small)
+        data._gram = -probit_small._gram
+        with pytest.raises(NumericError, match="leading minor 1 failed"):
+            da_update(data, initial_state(data), RngStream(6))
 
     def test_intercept_column_is_ones(self, probit_small):
         assert np.array_equal(probit_small._x_full[:, 0], np.ones(probit_small.n_obs))

@@ -8,6 +8,8 @@ from transjump.errors import NumericError, ParameterError
 from transjump.rng import (
     RngStream,
     cholesky_lower,
+    precision_noise,
+    precision_solve,
     sample_inverse_gamma,
     sample_inverse_gaussian,
     sample_truncated_normal_onesided,
@@ -170,6 +172,35 @@ class TestMvn:
         bad = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NumericError, match="leading minor 2"):
             cholesky_lower(bad)
+
+
+class TestPrecisionGaussian:
+    def _problem(self):
+        gen = np.random.default_rng(10)
+        a = gen.standard_normal((4, 4))
+        return a @ a.T + np.eye(4), gen.standard_normal(4)
+
+    def test_mean_solves_precision_system(self):
+        prec, b = self._problem()
+        L, mean = precision_solve(prec, b)
+        assert np.abs(L @ L.T - prec).max() <= 1e-12 * np.abs(prec).max()
+        assert np.allclose(mean, np.linalg.solve(prec, b), rtol=1e-12, atol=0.0)
+
+    def test_draw_moments(self):
+        prec, b = self._problem()
+        cov = np.linalg.inv(prec)
+        n = 40_000
+        L, mean = precision_solve(prec, b)
+        draws = mean[:, None] + precision_noise(L, RngStream(11).gen.standard_normal((4, n)))
+        # five standard errors of the sample mean and of each sample covariance entry
+        var = np.diag(cov)
+        assert np.all(np.abs(draws.mean(axis=1) - cov @ b) < 5.0 * np.sqrt(var / n))
+        se_cov = np.sqrt((cov**2 + np.outer(var, var)) / n)
+        assert np.all(np.abs(np.cov(draws) - cov) < 5.0 * se_cov)
+
+    def test_non_pd_reports_minor(self):
+        with pytest.raises(NumericError, match="leading minor 3 failed"):
+            precision_solve(np.diag([1.0, 2.0, -1.0]), np.ones(3))
 
 
 class TestNormalCdfQuantile:
