@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 
 from . import rj, textio
 from .errors import ParameterError, TraceParseError, require_finite
@@ -109,18 +109,19 @@ def _columns(state_k: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.flatnonzero(state_k) + 1])
 
 
-def log_unnorm_posterior(data: ProbitData, state: ProbitState) -> float:
-    """Log spike-and-slab posterior density of (k, z), up to the constant."""
-    size = state.size
-    cols = _columns(state.k)
-    mu = data._x_full[:, cols] @ state.z
-    loglik = float(log_ndtr(data._sign * mu).sum())
-    log_prior = (
+def _log_prior(data: ProbitData, size: int, z: np.ndarray) -> float:
+    """Log spike-and-slab prior of a model with ``size`` inclusions and block z."""
+    return (
         size * math.log(data.p_slab)
         - (size + 1) * (0.5 * rj.LOG_2PI + math.log(data.sigma))
-        - float(state.z @ state.z) / (2.0 * data.sigma**2)
+        - float(z @ z) / (2.0 * data.sigma**2)
     )
-    return loglik + log_prior
+
+
+def log_unnorm_posterior(data: ProbitData, state: ProbitState) -> float:
+    """Log spike-and-slab posterior density of (k, z), up to the constant."""
+    mu = data._x_full[:, _columns(state.k)] @ state.z
+    return float(log_ndtr(data._sign * mu).sum()) + _log_prior(data, state.size, state.z)
 
 
 def da_update(data: ProbitData, state: ProbitState, rng: RngStream) -> ProbitState:
@@ -142,16 +143,25 @@ def da_update(data: ProbitData, state: ProbitState, rng: RngStream) -> ProbitSta
     return ProbitState(k=state.k, z=z_new)
 
 
+# largest final Newton step, in proposal sds
+_NEWTON_STOP = 1e-3
+
+
 def mode_and_curvature(
     data: ProbitData, k_new: np.ndarray, z_partial: np.ndarray, j: int
-) -> tuple[float, float]:
+) -> tuple[float, float, float | None]:
     """Laplace-approximation parameters of the proposal for coefficient j.
 
     Maximizes the log posterior of model ``k_new`` over the single
     coefficient ``j`` with every other coordinate held at ``z_partial``
-    (Newton with analytic derivatives; the objective is strictly concave).
-    Returns (mode, variance) with variance the inverse negative curvature
-    at the mode.
+    (Newton from b = 0; the objective is strictly concave). Newton stops
+    once its step is at most ``_NEWTON_STOP`` proposal sds: birth and the
+    reverse death compute this same deterministic map of (k_new, z_partial,
+    j), so any deterministic stop keeps detailed balance. Returns (mode,
+    variance, loglik) with variance the inverse negative curvature at the
+    last iterate. loglik is the smaller model's log-likelihood (k_new without
+    j, coefficients z_partial), computed by the b = 0 pass exactly as
+    ``log_unnorm_posterior`` computes it, or None if that pass is not finite.
     """
     k_new = np.asarray(k_new)
     if k_new[j] != 1:
@@ -165,26 +175,42 @@ def mode_and_curvature(
     xs2 = xs * xs
     prior_prec = 1.0 / data.sigma**2
 
-    def derivs(b):
+    def derivs(b, inv_mills=None):
         t = sbase + xs * b
-        log_phi = -0.5 * (rj.LOG_2PI + t * t)
-        inv_mills = np.exp(log_phi - log_ndtr(t))
+        if inv_mills is None:
+            inv_mills = _inv_mills(t)
         grad = float(xs @ inv_mills) - b * prior_prec
         curv = -float(xs2 @ (inv_mills * (inv_mills + t))) - prior_prec
         return grad, curv
 
+    # at b = 0, t is the smaller model's sign-flipped linear predictor
+    log_cdf = log_ndtr(sbase)
+    loglik = float(log_cdf.sum())
+    if not math.isfinite(loglik):
+        loglik = None
+    inv_mills = np.exp(-0.5 * (rj.LOG_2PI + sbase * sbase) - log_cdf)
     b = 0.0
     for _ in range(50):
-        grad, curv = derivs(b)
-        if abs(grad) < 1e-10:
-            # converged: the curvature at b is already in hand
-            return float(b), float(-1.0 / curv)
-        b = b + (-grad / curv)
+        grad, curv = derivs(b, inv_mills)
+        step = -grad / curv
+        # |step| <= _NEWTON_STOP * sqrt(-1/curv); a NaN fails both tests
+        if curv < 0.0 and step * step * -curv <= _NEWTON_STOP**2:
+            return float(b + step), float(-1.0 / curv), loglik
+        b, inv_mills = b + step, None
         if not np.isfinite(b):
             break
     b = _bisect_gradient(derivs)
     curv = derivs(b)[1]
-    return float(b), float(-1.0 / curv)
+    return float(b), float(-1.0 / curv), loglik
+
+
+def _inv_mills(t: np.ndarray) -> np.ndarray:
+    """phi(t) / Phi(t): a ratio, with 1/sqrt(2 pi) inside the exponent so that
+    a subnormal phi (t > 37.6) rounds once; the log form below t = -30."""
+    log_phi = -0.5 * (rj.LOG_2PI + t * t)
+    if t.min() > -30.0:
+        return np.exp(log_phi) / ndtr(t)
+    return np.exp(log_phi - log_ndtr(t))
 
 
 def _bisect_gradient(derivs, span: float = 1.0) -> float:
@@ -222,7 +248,9 @@ def propose_birth(data: ProbitData, state: ProbitState, rng: RngStream):
     excluded = np.flatnonzero(state.k == 0)
     j = int(excluded[rng.gen.integers(excluded.shape[0])])
     k_new = _flip(state.k, j, 1)
-    mean, var = mode_and_curvature(data, k_new, state.z, j)
+    mean, var, loglik = mode_and_curvature(data, k_new, state.z, j)
+    if state.logpost is None and loglik is not None:
+        state.logpost = loglik + _log_prior(data, size, state.z)
     b = mean + math.sqrt(var) * rng.gen.standard_normal()
     pos = int(np.searchsorted(np.flatnonzero(k_new), j)) + 1
     proposal = ProbitState(k=k_new, z=np.insert(state.z, pos, b))
@@ -239,7 +267,9 @@ def propose_death(data: ProbitData, state: ProbitState, rng: RngStream):
     j = int(included[rng.gen.integers(included.shape[0])])
     pos = int(np.searchsorted(included, j)) + 1
     proposal = ProbitState(k=_flip(state.k, j, 0), z=np.delete(state.z, pos))
-    mean, var = mode_and_curvature(data, state.k, proposal.z, j)
+    mean, var, loglik = mode_and_curvature(data, state.k, proposal.z, j)
+    if loglik is not None:
+        proposal.logpost = loglik + _log_prior(data, size - 1, proposal.z)
     q_b_new = move_probs_spike_slab(data.p_slab, r, size - 1)[1]
     q_d = move_probs_spike_slab(data.p_slab, r, size)[2]
     log_q = math.log(q_b_new) - math.log(r - size + 1) - math.log(q_d) + math.log(size)

@@ -303,7 +303,7 @@ def test_criterion_9_acceptance_ratio_antisymmetry(toy_ar_data, probit_small):
         excluded = np.flatnonzero(k == 0)
         j = int(excluded[gen.integers(excluded.shape[0])])
         k_new = _flip(k, j, 1)
-        mean, var = mode_and_curvature(probit_small, k_new, z, j)
+        mean, var, _ = mode_and_curvature(probit_small, k_new, z, j)
         b = mean + math.sqrt(var) * gen.standard_normal()
         pos = int(np.searchsorted(np.flatnonzero(k_new), j)) + 1
         up = ProbitState(k=k_new, z=np.insert(z, pos, b))

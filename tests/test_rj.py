@@ -66,7 +66,7 @@ def test_probit_log_ratios_match_closed_form(probit_small):
         j = int(np.flatnonzero(up.k != k)[0])
         pos = int(np.searchsorted(np.flatnonzero(up.k), j)) + 1
         b = float(up.z[pos])
-        mean, var = mode_and_curvature(data, up.k, state.z, j)
+        mean, var, _ = mode_and_curvature(data, up.k, state.z, j)
         q_b = move_probs_spike_slab(data.p_slab, r, size)[1]
         q_d_next = move_probs_spike_slab(data.p_slab, r, size + 1)[2]
         closed = (lp(data, up) + math.log(q_d_next) - math.log(size + 1)
