@@ -3,8 +3,9 @@
 The model order k ranges over {0..k_max}; conditional on k the augmented
 posterior (auxiliary inverse-Gaussian scales u_i) admits a two-block Gibbs
 sweep, and birth/death moves append or delete the highest-lag coefficient
-with a proposal equal to its exact Gaussian full conditional. All acceptance
-ratios are evaluated in log space.
+with a proposal equal to its exact Gaussian full conditional. Their log
+acceptance ratio is then the closed-form ratio of the marginals with that
+coefficient integrated out.
 """
 
 from __future__ import annotations
@@ -128,19 +129,13 @@ def check_p1(data: ARData):
 
 @dataclass
 class ARState:
-    """Sampler state (k, alpha, beta, tau, u); treat as immutable.
-
-    ``logpost`` caches the augmented log posterior of this exact state; it is
-    filled in lazily by the acceptance-ratio code and must never be set by
-    hand.
-    """
+    """Sampler state (k, alpha, beta, tau, u); treat as immutable."""
 
     k: int
     alpha: np.ndarray
     beta: np.ndarray
     tau: float
     u: np.ndarray
-    logpost: float | None = field(default=None, repr=False, compare=False)
 
     def validate(self):
         if np.asarray(self.alpha).shape != (self.k,):
@@ -313,34 +308,45 @@ def birth_proposal_params(data: ARData, state: ARState) -> tuple[float, float]:
     return mean, var
 
 
+def _birth_log_ratio(data: ARData, probs: ARMoveProbs, k: int, mean, var, tau) -> float:
+    """Log acceptance ratio of a birth from order k, with a_{k+1} ~ N(mean, var).
+
+    At fixed (tau, u) it does not depend on the drawn a_{k+1}: the |r_i| and
+    u terms cancel, leaving the ratio of the two orders' marginals with
+    a_{k+1} integrated out (Green 1995; Troughton & Godsill 1998). A death to
+    order k has its negative.
+    """
+    return (
+        math.log(data.f_k[k + 1]) - math.log(data.f_k[k])
+        + math.log(probs.q_d[k + 1]) - math.log(probs.q_b[k])
+        - math.log(data.sigma) - 0.5 * math.log(tau / var) + mean * mean / (2.0 * var)
+    )
+
+
 def propose_birth(data: ARData, state: ARState, rng: RngStream, probs: ARMoveProbs):
-    """Append a_{k+1} drawn from its full conditional; returns (proposal, log_q)."""
+    """Append a_{k+1} drawn from its full conditional; returns (proposal, log_ratio)."""
     k = state.k
     mean, var = birth_proposal_params(data, state)
     a_new = mean + math.sqrt(var) * rng.gen.standard_normal()
     proposal = ARState(
         k=k + 1, alpha=np.append(state.alpha, a_new), beta=state.beta, tau=state.tau, u=state.u
     )
-    log_q = math.log(probs.q_d[k + 1]) - math.log(probs.q_b[k])
-    return proposal, log_q - rj.log_normal_pdf(a_new, mean, var)
+    return proposal, _birth_log_ratio(data, probs, k, mean, var, state.tau)
 
 
 def propose_death(data: ARData, state: ARState, rng: RngStream, probs: ARMoveProbs):
-    """Delete a_k, the reverse of :func:`propose_birth`; returns (proposal, log_q)."""
+    """Delete a_k, the reverse of :func:`propose_birth`; returns (proposal, log_ratio)."""
     k = state.k
     proposal = ARState(k=k - 1, alpha=state.alpha[:-1], beta=state.beta, tau=state.tau, u=state.u)
     mean, var = birth_proposal_params(data, proposal)
-    log_q = math.log(probs.q_b[k - 1]) - math.log(probs.q_d[k])
-    return proposal, log_q + rj.log_normal_pdf(float(state.alpha[-1]), mean, var)
+    return proposal, -_birth_log_ratio(data, probs, k - 1, mean, var, state.tau)
 
 
 def rj_step(data: ARData, state: ARState, probs: ARMoveProbs, rng: RngStream) -> ARState:
     """One reversible jump transition: update (Gibbs), birth, or death."""
     k = state.k
-    return rj.step(
-        data, state, rng, probs.q_u[k], probs.q_b[k], gibbs_update,
-        propose_birth, propose_death, log_unnorm_posterior, probs,
-    )
+    return rj.step(data, state, rng, probs.q_u[k], probs.q_b[k], gibbs_update,
+                   propose_birth, propose_death, probs)
 
 
 @dataclass

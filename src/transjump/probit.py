@@ -124,6 +124,13 @@ def log_unnorm_posterior(data: ProbitData, state: ProbitState) -> float:
     return float(log_ndtr(data._sign * mu).sum()) + _log_prior(data, state.size, state.z)
 
 
+def _cached_logpost(data: ProbitData, state: ProbitState) -> float:
+    """``log_unnorm_posterior(data, state)``, computed once and kept in ``state.logpost``."""
+    if state.logpost is None:
+        state.logpost = log_unnorm_posterior(data, state)
+    return state.logpost
+
+
 def da_update(data: ProbitData, state: ProbitState, rng: RngStream) -> ProbitState:
     """One truncated-normal data augmentation sweep at fixed model k.
 
@@ -243,7 +250,7 @@ def move_probs_spike_slab(p_slab: float, r: int, size: int) -> tuple[float, floa
 
 
 def propose_birth(data: ProbitData, state: ProbitState, rng: RngStream):
-    """Include a uniformly chosen excluded predictor; returns (proposal, log_q)."""
+    """Include a uniformly chosen excluded predictor; returns (proposal, log_ratio)."""
     r, size = data.r, state.size
     excluded = np.flatnonzero(state.k == 0)
     j = int(excluded[rng.gen.integers(excluded.shape[0])])
@@ -257,11 +264,12 @@ def propose_birth(data: ProbitData, state: ProbitState, rng: RngStream):
     q_b = move_probs_spike_slab(data.p_slab, r, size)[1]
     q_d_new = move_probs_spike_slab(data.p_slab, r, size + 1)[2]
     log_q = math.log(q_d_new) - math.log(size + 1) - math.log(q_b) + math.log(r - size)
-    return proposal, log_q - rj.log_normal_pdf(b, mean, var)
+    log_q -= rj.log_normal_pdf(b, mean, var)
+    return proposal, _cached_logpost(data, proposal) - _cached_logpost(data, state) + log_q
 
 
 def propose_death(data: ProbitData, state: ProbitState, rng: RngStream):
-    """Exclude a uniformly chosen included predictor; returns (proposal, log_q)."""
+    """Exclude a uniformly chosen included predictor; returns (proposal, log_ratio)."""
     r, size = data.r, state.size
     included = np.flatnonzero(state.k == 1)
     j = int(included[rng.gen.integers(included.shape[0])])
@@ -273,15 +281,14 @@ def propose_death(data: ProbitData, state: ProbitState, rng: RngStream):
     q_b_new = move_probs_spike_slab(data.p_slab, r, size - 1)[1]
     q_d = move_probs_spike_slab(data.p_slab, r, size)[2]
     log_q = math.log(q_b_new) - math.log(r - size + 1) - math.log(q_d) + math.log(size)
-    return proposal, log_q + rj.log_normal_pdf(float(state.z[pos]), mean, var)
+    log_q += rj.log_normal_pdf(float(state.z[pos]), mean, var)
+    return proposal, _cached_logpost(data, proposal) - _cached_logpost(data, state) + log_q
 
 
 def rj_step(data: ProbitData, state: ProbitState, rng: RngStream) -> ProbitState:
     """One reversible jump transition: update, birth, or death."""
     q_u, q_b, _ = move_probs_spike_slab(data.p_slab, data.r, state.size)
-    return rj.step(
-        data, state, rng, q_u, q_b, da_update, propose_birth, propose_death, log_unnorm_posterior
-    )
+    return rj.step(data, state, rng, q_u, q_b, da_update, propose_birth, propose_death)
 
 
 def _flip(k: np.ndarray, j: int, value: int) -> np.ndarray:

@@ -110,16 +110,13 @@ def _ig_draws(mu, lam, gen) -> np.ndarray:
         w_safe = np.where(huge, 1.0, w)
         t = 1.0 + 0.5 * (w_safe + np.sqrt(w_safe * (4.0 + w_safe)))
         x1 = np.where(huge, lam / y, mu / t)  # mu -> inf limit: Levy(lam) = lam/chi2_1
+        x2 = np.where(huge, mu, mu * t)
     else:
         t = 1.0 + 0.5 * (w + np.sqrt(w * (4.0 + w)))
         x1 = mu / t
+        x2 = mu * t
     pick_first = gen.random(mu.shape) <= mu / (mu + x1)
-    big = ~pick_first
-    if big.any():
-        out = x1.copy()
-        out[big] = np.where(huge[big], mu[big], mu[big] * t[big])
-        return out
-    return x1
+    return np.where(pick_first, x1, x2)
 
 
 def sample_truncated_normal_onesided(mean, sd, positive_side, rng: RngStream):

@@ -358,3 +358,65 @@ def probit_da_reference(data, k, z, rng):
     b = x_k.T @ u
     mean = np.linalg.solve(L.T, np.linalg.solve(L, b))
     return mean + np.linalg.solve(L.T, rng.gen.standard_normal(d))
+
+
+def ig_draws_reference(mu, lam, gen) -> np.ndarray:
+    """``rng._ig_draws`` as first written: a copy of x1, then fancy-indexed fills.
+
+    A verbatim copy of the original core, kept to check the vectorized
+    ``np.where`` form bit for bit.
+    """
+    nu = gen.standard_normal(mu.shape)
+    y = nu * nu
+    with np.errstate(over="ignore"):
+        w = mu * y / lam
+    # larger root (no cancellation), smaller root via the product identity x1*x2 = mu^2
+    huge = w > 1e15
+    if huge.any():
+        w_safe = np.where(huge, 1.0, w)
+        t = 1.0 + 0.5 * (w_safe + np.sqrt(w_safe * (4.0 + w_safe)))
+        x1 = np.where(huge, lam / y, mu / t)  # mu -> inf limit: Levy(lam) = lam/chi2_1
+    else:
+        t = 1.0 + 0.5 * (w + np.sqrt(w * (4.0 + w)))
+        x1 = mu / t
+    pick_first = gen.random(mu.shape) <= mu / (mu + x1)
+    big = ~pick_first
+    if big.any():
+        out = x1.copy()
+        out[big] = np.where(huge[big], mu[big], mu[big] * t[big])
+        return out
+    return x1
+
+
+def ar_rj_step_reference(data, state, probs, rng):
+    """``ar_laplace.rj_step`` as first written: the jump ratio from two full posteriors.
+
+    Same draws in the same order (move uniform, the new coefficient's normal,
+    acceptance uniform); the log acceptance ratio is the difference of the
+    augmented log posteriors plus the move-selection and proposal terms.
+    """
+    from transjump.ar_laplace import ARState, birth_proposal_params, gibbs_update
+    from transjump.ar_laplace import log_unnorm_posterior as log_post
+
+    def log_normal_pdf(x, mean, var):
+        return -0.5 * (math.log(2.0 * math.pi) + math.log(var)) - 0.5 * (x - mean) ** 2 / var
+
+    k = state.k
+    move = rng.gen.random()
+    if move < probs.q_u[k]:
+        return gibbs_update(data, state, rng)
+    if move < probs.q_u[k] + probs.q_b[k]:
+        mean, var = birth_proposal_params(data, state)
+        a_new = mean + math.sqrt(var) * rng.gen.standard_normal()
+        proposal = ARState(k=k + 1, alpha=np.append(state.alpha, a_new), beta=state.beta,
+                           tau=state.tau, u=state.u)
+        log_q = math.log(probs.q_d[k + 1]) - math.log(probs.q_b[k])
+        log_q -= log_normal_pdf(a_new, mean, var)
+    else:
+        proposal = ARState(k=k - 1, alpha=state.alpha[:-1], beta=state.beta, tau=state.tau,
+                           u=state.u)
+        mean, var = birth_proposal_params(data, proposal)
+        log_q = math.log(probs.q_b[k - 1]) - math.log(probs.q_d[k])
+        log_q += log_normal_pdf(float(state.alpha[-1]), mean, var)
+    log_ratio = log_post(data, proposal) - log_post(data, state) + log_q
+    return proposal if math.log(rng.gen.random()) < log_ratio else state

@@ -26,6 +26,18 @@ def toy_oracle(toy_ar_data):
 
 
 @pytest.fixture(scope="session")
+def scenario2_data():
+    # the settings of `simulate-ar --preset scenario2 --seed 7`
+    cfg = ARSimConfig(
+        n_obs=100, p=50, k_max=10, k_true=4,
+        alpha_true=np.array([0.3, 0.05, 0.05, 0.05]),
+        beta_true=RngStream(7, 999).gen.standard_normal(50),
+        tau_true=1.0, prior="poisson", poisson_mean=2.0,
+    )
+    return simulate_ar_dataset(cfg, RngStream(7))
+
+
+@pytest.fixture(scope="session")
 def probit_small():
     gen = np.random.default_rng(5)
     n, r = 30, 3

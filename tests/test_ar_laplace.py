@@ -46,18 +46,6 @@ def small_data():
     )
 
 
-@pytest.fixture(scope="module")
-def scenario2_data():
-    # the settings of `simulate-ar --preset scenario2`
-    cfg = ARSimConfig(
-        n_obs=100, p=50, k_max=10, k_true=4,
-        alpha_true=np.array([0.3, 0.05, 0.05, 0.05]),
-        beta_true=RngStream(7, 999).gen.standard_normal(50),
-        tau_true=1.0, prior="poisson", poisson_mean=2.0,
-    )
-    return simulate_ar_dataset(cfg, RngStream(7))
-
-
 def _lag_data(y, x, y_start, k_max):
     return ARData(y=y, x=x, y_start=y_start, k_max=k_max, sigma=1.0,
                   f_k=np.full(k_max + 1, 1.0 / (k_max + 1)))
@@ -282,12 +270,13 @@ class TestRJStep:
 
         probs = move_probs_green(toy_ar_data.f_k)
         state = initial_state(toy_ar_data)
-        real = mod.log_unnorm_posterior
+        real = mod.propose_birth
 
-        def veto_high(data, st):
-            return -np.inf if st.k == 1 else real(data, st)
+        def veto_birth(*args):
+            proposal, _ = real(*args)
+            return proposal, -np.inf
 
-        monkeypatch.setattr(mod, "log_unnorm_posterior", veto_high)
+        monkeypatch.setattr(mod, "propose_birth", veto_birth)
         rng = RngStream(23)
         for _ in range(200):
             state = mod.rj_step(toy_ar_data, state, probs, rng)

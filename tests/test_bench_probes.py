@@ -30,11 +30,13 @@ def test_full_probe_set_sees_every_chain_layer(toy_ar_data, probit_small):
         "probit": ("rng.sample_truncated_normal_onesided", "da_update", "mode_and_curvature"),
     }
     for mod, (sampler, kernel, proposal) in layers.items():
-        for name in (sampler, f"{mod}.rj_step", f"{mod}.{kernel}", f"{mod}.{proposal}",
-                     f"{mod}.log_unnorm_posterior"):
+        for name in (sampler, f"{mod}.rj_step", f"{mod}.{kernel}", f"{mod}.{proposal}"):
             assert metrics[name + ".calls"]["value"] > 0, name
         for kind in ("birth", "death"):
             assert metrics[f"{mod}.{kind}.proposed"]["value"] > 0, (mod, kind)
+    # the AR jumps use the closed-form marginal ratio; the probit ones a posterior ratio
+    assert metrics["ar_laplace.log_unnorm_posterior.calls"]["value"] == 0
+    assert metrics["probit.log_unnorm_posterior.calls"]["value"] > 0
     assert metrics["ar_laplace.rj_step.calls"]["value"] == 500
     assert metrics["probit.rj_step.calls"]["value"] == 500
     # uninstall put the original functions back

@@ -351,12 +351,13 @@ class TestHandedOutLogLikelihood:
         assert mode_and_curvature(data, k_new, z_partial, j)[2] is None
         small = ProbitState(k=probit._flip(k_new, j, 0), z=z_partial)
         armed[0] = True
+        # the log ratio needs both posteriors: computed afresh, not from the pass above
         probit.propose_birth(data, small, RngStream(51))
-        assert small.logpost is None
+        assert small.logpost == log_unnorm_posterior(data, small)
         armed[0] = True
         proposal, _ = probit.propose_death(data, ProbitState(k=k_new, z=np.append(z_partial, 0.5)),
                                            RngStream(52))
-        assert proposal.logpost is None
+        assert proposal.logpost == log_unnorm_posterior(data, proposal)
         # a jump's mode search makes the step's first log_ndtr pass; the
         # posteriors are then computed afresh
         jumps = 0

@@ -7,6 +7,7 @@ from scipy.special import kolmogorov, ndtr
 from transjump.errors import NumericError, ParameterError
 from transjump.rng import (
     RngStream,
+    _ig_draws,
     cholesky_lower,
     precision_noise,
     precision_solve,
@@ -17,6 +18,7 @@ from transjump.rng import (
 )
 
 from _oracles import (
+    ig_draws_reference,
     inverse_gamma_density,
     inverse_gaussian_density,
     ks_statistic,
@@ -72,6 +74,22 @@ class TestInverseGaussian:
             sample_inverse_gaussian(-1.0, 1.0, RngStream(1))
         with pytest.raises(ParameterError):
             sample_inverse_gaussian(1.0, 0.0, RngStream(1))
+
+    @pytest.mark.parametrize("n, huge", [(5, False), (100, False), (5, True), (100, True)])
+    def test_core_matches_copy_of_original(self, n, huge):
+        # bit for bit, and the stream left at the same place
+        gen = np.random.default_rng(n + huge)
+        fast, slow = RngStream(31, n), RngStream(31, n)
+        for _ in range(200):
+            mu = np.exp(3.0 * gen.standard_normal(n))
+            if huge:
+                # sqrt(tau) / (2 |r|) at the 1e-300 residual clamp
+                mu[::2] = 0.5e300 * np.exp(gen.standard_normal(mu[::2].shape))
+            lam = 0.25 if n == 100 else np.exp(gen.standard_normal(n))
+            got = _ig_draws(mu, lam, fast.gen)
+            want = ig_draws_reference(mu, lam, slow.gen)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert fast.gen.random() == slow.gen.random()
 
     @pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (2.0, 0.25), (0.5, 3.0)])
     def test_ks_against_quadrature_cdf(self, mu, lam):
